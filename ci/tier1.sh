@@ -42,6 +42,14 @@ cargo build --release --offline --all-targets
 echo "== tier1: offline tests (workspace)"
 cargo test -q --offline --workspace
 
+echo "== tier1: benchmark self-tests (lwtbench)"
+# The repo benchmark is a separate package (own workspace, path deps
+# on the runtime crates). Its smoke tests run every workload briefly
+# and check every forkjoin checksum against a sequential fold and every
+# rpc body byte for byte, so a runtime change that breaks either fails
+# here rather than only when the benchmark runs.
+cargo test -q --release --offline --manifest-path lwtbench/Cargo.toml
+
 echo "== tier1: doctests (workspace)"
 # Also covered by the workspace run above, but kept as an explicit
 # gate: the public API examples (Glt quickstart, try_join, FEB,
@@ -50,7 +58,8 @@ cargo test -q --offline --workspace --doc
 
 echo "== tier1: concurrency model check (--cfg lwt_model, bounded)"
 # Deterministic loom-style exploration of the real lock-free core
-# (Chase-Lev deque, MPSC injector, SpinLock, FEB, fiber stack cache)
+# (Chase-Lev deque, MPSC injector, SpinLock, FEB, fiber stack cache,
+# parking, future-task and ULT join handshakes)
 # under crates/model. The cfg swap rebuilds the checked crates with
 # the shim facade, so it gets its own target dir to leave the main
 # build cache untouched. Each Checker bounds itself (preemption bound
@@ -58,7 +67,7 @@ echo "== tier1: concurrency model check (--cfg lwt_model, bounded)"
 CARGO_TARGET_DIR=target/lwt-model \
     RUSTFLAGS="${RUSTFLAGS:-} --cfg lwt_model" \
     timeout 600 cargo test -q --offline -p lwt-model
-echo "   ok: model suites green (engine + chase_lev + injector + sync + stack cache + park + waker)"
+echo "   ok: model suites green (engine + chase_lev + injector + sync + stack cache + park + waker + timer + join)"
 
 echo "== tier1: trace-export smoke (LWT_TRACE=1)"
 # One real microbench run with tracing on must produce a parseable

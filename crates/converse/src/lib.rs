@@ -121,9 +121,9 @@ struct RtInner {
     /// Work units created but not yet fully executed; the quiescence
     /// condition for barrier entry.
     outstanding: AtomicUsize,
-    /// Barrier epochs requested by the master vs completed.
+    /// Barrier episodes requested by the master; each processor
+    /// counts the ones it has served.
     barrier_requested: AtomicUsize,
-    barrier_completed: AtomicUsize,
     barrier: SenseBarrier,
     threads: SpinLock<Vec<Option<std::thread::JoinHandle<()>>>>,
     rr: RoundRobin,
@@ -232,7 +232,6 @@ impl Runtime {
             stack_size: config.stack_size,
             outstanding: AtomicUsize::new(0),
             barrier_requested: AtomicUsize::new(0),
-            barrier_completed: AtomicUsize::new(0),
             // Processors + the external master.
             barrier: SenseBarrier::new(config.num_processors + 1),
             threads: SpinLock::new(Vec::new()),
@@ -403,9 +402,7 @@ impl Runtime {
         // depth, not how barriers are supposed to make progress.
         self.inner.park.unpark_all();
         let mut relax = lwt_sync::AdaptiveRelax::new();
-        if self.inner.barrier.wait(move || relax.relax()) {
-            self.inner.barrier_completed.fetch_add(1, Ordering::AcqRel);
-        }
+        self.inner.barrier.wait(move || relax.relax());
     }
 
     /// Wait up to `deadline` for global quiescence (no outstanding work
@@ -543,6 +540,11 @@ fn proc_main(inner: &Arc<RtInner>, p: usize) {
     let _guard = enter_worker(p, requeue);
     let heartbeat = lwt_chaos::register_worker("converse", p);
     let mut backoff = lwt_sync::Backoff::new();
+    // Barrier episodes this processor has served. A shared "completed"
+    // count would let a processor leaving an episode read it before
+    // the last arriver bumps it and enter a phantom episode, stranding
+    // the messages sent to it next.
+    let mut served = 0;
     loop {
         heartbeat.beat();
         if inner.abandon.load(Ordering::Acquire) {
@@ -580,14 +582,12 @@ fn proc_main(inner: &Arc<RtInner>, p: usize) {
             }
             None => {
                 // Quiescent? Serve a pending barrier episode.
-                if inner.barrier_requested.load(Ordering::Acquire)
-                    > inner.barrier_completed.load(Ordering::Acquire)
+                if inner.barrier_requested.load(Ordering::Acquire) > served
                     && inner.outstanding.load(Ordering::Acquire) == 0
                 {
+                    served += 1;
                     let mut relax = lwt_sync::AdaptiveRelax::new();
-                    if inner.barrier.wait(move || relax.relax()) {
-                        inner.barrier_completed.fetch_add(1, Ordering::AcqRel);
-                    }
+                    inner.barrier.wait(move || relax.relax());
                     continue;
                 }
                 if inner.stop.load(Ordering::Acquire) {
@@ -730,6 +730,35 @@ mod tests {
         // Keep the runtime alive past the panic so worker threads
         // shut down cleanly in the unwind.
         let _ = rt.spawn_ult(|| ());
+    }
+
+    #[test]
+    fn back_to_back_barriers_never_strand_work() {
+        // A processor leaving a barrier episode must not re-enter the
+        // barrier before that episode is counted complete: it would sit
+        // in a phantom episode while the messages sent to it next keep
+        // every other processor from ever reaching quiescence.
+        let rt = rt(2);
+        let r2 = rt.clone();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let hits = Arc::new(AtomicUsize::new(0));
+            for round in 1..=2000 {
+                for _ in 0..2 {
+                    let h = hits.clone();
+                    r2.send_rr(move || {
+                        h.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+                r2.barrier();
+                assert_eq!(hits.load(Ordering::Relaxed), round * 2);
+            }
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a barrier episode stranded queued messages");
+        runner.join().expect("barrier rounds");
+        rt.shutdown();
     }
 
     #[test]

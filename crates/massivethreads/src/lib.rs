@@ -20,6 +20,10 @@
 //!   and the current ULT is moved into a ready queue") and *help-first*
 //!   (the child is queued, the parent continues). The paper benchmarks
 //!   both as "MassiveThreads (W)" and "MassiveThreads (H)".
+//! * **Joins park** (`myth_join`): a ULT joining an unfinished child
+//!   suspends instead of spinning, and the worker that finishes the
+//!   child pushes the joiner back onto its own deque — the same
+//!   stealable-continuation path the work-first parent takes.
 //!
 //! Unlike the other runtimes in this workspace, the *main program runs
 //! as a ULT* ([`Runtime::run`]) — exactly as `myth_init` turns `main`
@@ -45,6 +49,7 @@
 
 #![warn(missing_docs)]
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -54,8 +59,8 @@ use lwt_metrics::{clock, EventKind};
 use lwt_sched::{near_first, ParkGroup, ParkResult, RandomVictim, ReadyQueue};
 use lwt_sync::SpinLock;
 use lwt_ultcore::{
-    enter_worker, join_within, run_unit, wait_until, yield_to, DrainError, PollTask, ReadyUnit,
-    Requeue, ResultCell, Straggler, TaskResched, UltCore, ABANDON_GRACE,
+    enter_worker, join_within, park_join, run_unit, wait_until, yield_to, DrainError, PollTask,
+    ReadyUnit, Requeue, ResultCell, Straggler, TaskResched, UltCore, ABANDON_GRACE,
 };
 
 pub use lwt_ultcore::{current_worker, in_ult, yield_now, JoinError};
@@ -63,8 +68,11 @@ pub use lwt_ultcore::{current_worker, in_ult, yield_now, JoinError};
 /// ULT creation policy (`MYTH_CHILD_FIRST` / help-first).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Policy {
-    /// Child runs immediately; the parent is pushed to the ready deque
-    /// (stealable). MassiveThreads' default; the paper's "(W)" series.
+    /// Child runs immediately; the parent continuation is pushed onto
+    /// the spawning worker's own deque — the owner resumes it LIFO
+    /// once the child is done, and idle workers can steal it from the
+    /// deque's old end meanwhile. MassiveThreads' default; the paper's
+    /// "(W)" series.
     #[default]
     WorkFirst,
     /// Child is queued; the parent keeps running. The paper's "(H)"
@@ -115,23 +123,45 @@ pub struct Runtime {
     inner: Arc<RtInner>,
 }
 
+thread_local! {
+    /// Identity ([`RtInner`] address) of the runtime whose worker loop
+    /// runs on this thread; 0 elsewhere.
+    static WORKER_OF: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Read [`WORKER_OF`] through an opaque call: a ULT resumes on another
+/// worker thread after a switch, and an inlined TLS address computed
+/// before it would be stale (see `lwt_ultcore`'s `worker_ptr`).
+#[inline(never)]
+fn worker_of() -> usize {
+    WORKER_OF.with(Cell::get)
+}
+
 /// Join handle for a spawned ULT (`myth_thread_t` + `myth_join`).
 pub struct Handle<T> {
     ult: Arc<UltCore>,
     result: Arc<ResultCell<T>>,
+    /// Identity of the spawning runtime (see [`WORKER_OF`]).
+    rt: usize,
 }
 
 impl<T> Handle<T> {
     /// Wait for completion (`myth_join`) and take the result, surfacing
     /// an escaped panic as a [`JoinError`] instead of re-raising it.
-    /// Inside a ULT the wait yields, letting the worker keep executing
-    /// (and stealing) other work.
+    /// A ULT of this runtime *parks* on the child: it leaves its worker
+    /// free to run (and steal) other work, and the worker that finishes
+    /// the child pushes the joiner back onto its own deque. Any other
+    /// caller waits with spin-then-yield.
     ///
     /// # Errors
     ///
     /// [`JoinError`] carrying the panic payload.
     pub fn try_join(self) -> Result<T, JoinError> {
-        wait_until(|| self.ult.is_terminated());
+        if in_ult() && worker_of() == self.rt {
+            park_join(&self.ult);
+        } else {
+            wait_until(|| self.ult.is_terminated());
+        }
         // Causal join edge: this context observed the unit's completion.
         lwt_metrics::span::on_join(self.ult.span_id());
         if let Some(p) = self.ult.take_panic() {
@@ -281,8 +311,8 @@ impl Runtime {
         match (policy, current_worker()) {
             (Policy::WorkFirst, Some(_)) if in_ult() => {
                 // Work-first from inside a ULT: run the child now; the
-                // post-switch protocol requeues the parent into the
-                // current worker's queue, where it can be stolen.
+                // post-switch protocol pushes the parent onto the
+                // current worker's deque, where it can be stolen.
                 if !yield_to(&ult) {
                     // Claim raced (cannot normally happen for a fresh
                     // ULT); degrade to help-first.
@@ -305,7 +335,11 @@ impl Runtime {
                 self.inner.park.notify_near(0);
             }
         }
-        Handle { ult, result }
+        Handle {
+            ult,
+            result,
+            rt: Arc::as_ptr(&self.inner) as usize,
+        }
     }
 
     /// Enqueue a stackless future task: onto the calling worker's own
@@ -465,23 +499,34 @@ impl std::fmt::Debug for Runtime {
     }
 }
 
+/// Where a ULT that becomes runnable again on worker `w` goes.
+struct MythRequeue(Arc<RtInner>);
+
+impl Requeue for MythRequeue {
+    /// A yielding ULT goes to the *back* of the worker's queue (the
+    /// inbox): the owner pops its deque LIFO first, so queued work runs
+    /// before the yielder comes round again.
+    fn requeue(&self, worker: usize, u: Arc<UltCore>) {
+        self.0.queues[worker].inject(u.into());
+        self.0.park.notify_near(worker);
+    }
+
+    /// A parent displaced by a work-first spawn, or a joiner woken by
+    /// its child's exit, goes on top of the worker's own deque: the
+    /// owner resumes it next (LIFO), and a thief can take it from the
+    /// old end meanwhile — the paper's "another thread steals the main
+    /// task".
+    fn displace(&self, worker: usize, u: Arc<UltCore>) {
+        self.0.queues[worker].push(u.into());
+        self.0.park.notify_near(worker);
+    }
+}
+
 fn worker_main(inner: &Arc<RtInner>, w: usize) {
-    let requeue: Arc<dyn Requeue> = {
-        let q = inner.clone();
-        Arc::new(move |worker: usize, u: Arc<UltCore>| {
-            // Yielded/displaced ULTs go to the *back* of the current
-            // worker's queue (the inbox): the owner pops its deque
-            // LIFO, so queued children run before a yield-looping
-            // joiner (progress), and the displaced main flow becomes
-            // stealable once the owner batches the inbox onto the
-            // deque — the paper's "another thread steals the main
-            // task".
-            q.queues[worker].inject(u.into());
-            q.park.notify_near(worker);
-        })
-    };
-    let _guard = enter_worker(w, requeue);
+    let _guard = enter_worker(w, Arc::new(MythRequeue(inner.clone())));
     inner.queues[w].bind();
+    // The thread is this worker for the rest of its life.
+    WORKER_OF.with(|c| c.set(Arc::as_ptr(inner) as usize));
     let victims = RandomVictim::new(inner.queues.len(), 0x9E3779B9 ^ (w as u64) << 17 | 1);
     let mut backoff = lwt_sync::Backoff::new();
     // Timestamp of the moment this worker ran dry; 0 while it has
@@ -740,6 +785,93 @@ mod tests {
         .expect_err("run must re-raise");
         assert_eq!(err.downcast_ref::<&str>(), Some(&"myth boom"));
         rt.shutdown();
+    }
+
+    /// Run `f` on a helper thread and fail if it has not finished
+    /// within `limit` — the hang a missing wake or an unreachable
+    /// continuation turns into.
+    fn within<T: Send + 'static>(
+        limit: std::time::Duration,
+        what: &str,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        // On a timeout the runner is wedged and stays detached.
+        let out = rx
+            .recv_timeout(limit)
+            .unwrap_or_else(|_| panic!("{what}: no result within {limit:?}"));
+        runner.join().expect("runner sent its result");
+        out
+    }
+
+    #[test]
+    fn displaced_parent_is_stolen_by_the_idle_worker() {
+        // The child spins on its worker without ever yielding, so only
+        // the other worker can run the displaced parent — which it can
+        // only reach by stealing it from the spawning worker's deque.
+        let rt = rt(2, Policy::WorkFirst);
+        let r2 = rt.clone();
+        let (child_worker, parent_worker) = within(
+            std::time::Duration::from_secs(20),
+            "displaced parent never ran",
+            move || {
+                r2.run(|rt| {
+                    let flag = Arc::new(AtomicBool::new(false));
+                    let f2 = flag.clone();
+                    let h = rt.spawn(move || {
+                        while !f2.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                        current_worker().unwrap()
+                    });
+                    let parent_worker = current_worker().unwrap();
+                    flag.store(true, Ordering::Release);
+                    (h.join(), parent_worker)
+                })
+            },
+        );
+        assert_ne!(child_worker, parent_worker, "parent resumed beside its spinning child");
+        rt.shutdown();
+    }
+
+    #[test]
+    fn join_on_a_running_child_parks_and_returns_its_value() {
+        // Every child is still yield-looping when its parent joins it,
+        // so each join takes the parking path; on 2 and 4 workers the
+        // children (help-first) or the parent (work-first) are stolen.
+        for policy in [Policy::WorkFirst, Policy::HelpFirst] {
+            for workers in [1, 2, 4] {
+                let rt = rt(workers, policy);
+                let r2 = rt.clone();
+                let sum = within(
+                    std::time::Duration::from_secs(20),
+                    "parked joiner never woke",
+                    move || {
+                        r2.run(|rt| {
+                            let go = Arc::new(AtomicBool::new(false));
+                            let handles: Vec<_> = (0..64u64)
+                                .map(|i| {
+                                    let go = go.clone();
+                                    rt.spawn(move || {
+                                        while !go.load(Ordering::Acquire) {
+                                            yield_now();
+                                        }
+                                        i * i
+                                    })
+                                })
+                                .collect();
+                            go.store(true, Ordering::Release);
+                            handles.into_iter().map(Handle::join).sum::<u64>()
+                        })
+                    },
+                );
+                assert_eq!(sum, (0..64u64).map(|i| i * i).sum(), "{policy:?} × {workers}");
+                rt.shutdown();
+            }
+        }
     }
 
     #[test]

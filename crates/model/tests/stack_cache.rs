@@ -19,11 +19,21 @@ fn quick() -> Checker {
     Checker::new().max_executions(400_000).time_budget_ms(45_000)
 }
 
+/// The cache is process-global and the test harness runs tests on
+/// parallel threads: without taking turns, one test's `purge` or
+/// `acquire` takes the stack the other just donated.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// A stack released on a worker thread must be reachable from another
 /// thread after the worker exits: local free-list → global overflow
 /// pool (TLS destructor) → foreign `acquire`.
 #[test]
 fn worker_exit_donates_stacks_to_the_global_pool() {
+    let _serial = serial();
     quick().check(|| {
         // The cache is process-global; pin its state at the start of
         // every execution so the search is deterministic.
@@ -60,6 +70,7 @@ fn worker_exit_donates_stacks_to_the_global_pool() {
 /// recycled stack and equal bases would prove nothing.
 #[test]
 fn concurrent_acquire_never_hands_out_the_same_stack_twice() {
+    let _serial = serial();
     quick().check(|| {
         cache::set_capacity(1);
         cache::purge();

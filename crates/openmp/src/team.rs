@@ -57,6 +57,9 @@ pub(crate) struct Team {
     stealers: SpinLock<Vec<Option<Stealer<Task>>>>,
     /// Tasks queued or running; zero means task-quiescent.
     outstanding: AtomicUsize,
+    /// Members whose region body has returned; once all have, only
+    /// tasks can create more tasks.
+    bodies_done: AtomicUsize,
     /// Team-wide lock backing `#pragma omp critical`.
     critical: SpinLock<()>,
     /// Which `single` constructs (by per-thread sequence number) have
@@ -96,6 +99,7 @@ impl Team {
             gcc_queue: SharedQueue::new(),
             stealers: SpinLock::new((0..size).map(|_| None).collect()),
             outstanding: AtomicUsize::new(0),
+            bodies_done: AtomicUsize::new(0),
             critical: SpinLock::new(()),
             single_claims: SpinLock::new(std::collections::HashSet::new()),
         })
@@ -147,9 +151,11 @@ impl Team {
         lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Busy);
         f(&ctx);
         lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Dispatch);
+        self.bodies_done.fetch_add(1, Ordering::AcqRel);
 
-        // Implicit end barrier, draining outstanding tasks first.
-        drain_tasks(&member);
+        // Implicit end barrier, a task scheduling point: help run the
+        // team's tasks until the whole team is task-quiescent.
+        drain_tasks(&member, true);
         before_join();
         self.barrier.wait(|| self.relax());
 
@@ -211,9 +217,18 @@ fn run_task(member: &MemberCtx, task: Task) {
     member.team.outstanding.fetch_sub(1, Ordering::AcqRel);
 }
 
-/// Execute tasks until the team is task-quiescent.
-fn drain_tasks(member: &MemberCtx) {
-    while member.team.outstanding.load(Ordering::Acquire) > 0 {
+/// Execute tasks until the team is task-quiescent. At the region's
+/// end (`region_end`), also keep popping and stealing until every
+/// member's body has returned: until then a body may still create
+/// tasks, and a member that stopped at the first empty moment would
+/// never help with them.
+fn drain_tasks(member: &MemberCtx, region_end: bool) {
+    let team = &member.team;
+    // Bodies first: once all are done, only counted tasks create tasks,
+    // so a zero `outstanding` read afterwards is final.
+    while (region_end && team.bodies_done.load(Ordering::Acquire) < team.size)
+        || team.outstanding.load(Ordering::Acquire) > 0
+    {
         match next_task(member) {
             Some(t) => run_task(member, t),
             None => {
@@ -262,7 +277,7 @@ impl Ctx<'_> {
     /// `#pragma omp taskwait` (taskgroup-style): execute and wait until
     /// the whole team is task-quiescent.
     pub fn taskwait(&self) {
-        drain_tasks(self.member);
+        drain_tasks(self.member, false);
     }
 
     /// Explicit `#pragma omp barrier`.

@@ -38,6 +38,10 @@
 //!   lifecycle of a stackless future task, giving every backend's
 //!   async bridge the same no-lost-wake guarantee (model-checked in
 //!   `crates/model/tests/waker.rs`).
+//! * [`UnitState`] / [`JoinSlot`] — a stackful unit's lifecycle word
+//!   with its suspend/wake race resolution, and the one-joiner slot a
+//!   parking join publishes itself in (model-checked in
+//!   `crates/model/tests/join.rs`).
 //! * [`io_poll`] / [`set_io_poll`] — the reactor idle-poll seam: the
 //!   I/O reactor (`lwt-net`) registers a non-blocking poll hook that
 //!   every backend calls when a steal sweep comes up dry, so readiness
@@ -53,6 +57,7 @@
 mod chase_lev;
 mod injector;
 mod io;
+mod join;
 mod park;
 mod sysapi;
 mod private;
@@ -66,6 +71,7 @@ mod victim;
 pub use chase_lev::{ChaseLev, Steal, Stealer, Worker};
 pub use injector::Injector;
 pub use io::{io_poll, io_poll_registered, set_io_poll};
+pub use join::{unit_state, JoinSlot, UnitState, Wake};
 pub use park::{
     current_wait_policy, force_wait_policy, reset_wait_policy_to_env, ParkGroup, ParkResult,
     WaitPolicy,

@@ -30,9 +30,12 @@
 //! (it no longer runs). So the suspender records a deferred action in
 //! the worker context, and whichever code gains control after the
 //! switch — the worker loop, or the next resumed ULT — executes it:
-//! re-queue on yield (via the runtime's [`Requeue`] policy), or
-//! `TERMINATED` publication on exit (only once the dying stack has been
-//! switched away from).
+//! re-queue on yield (via the runtime's [`Requeue`] policy), re-queue
+//! of a parent displaced by [`yield_to`] (the policy's
+//! [`Requeue::displace`] path), `BLOCKED` publication on [`suspend`],
+//! or `TERMINATED` publication on exit (only once the dying stack has
+//! been switched away from) — which also wakes a joiner parked by
+//! [`park_join`], through the displacement path.
 
 #![warn(missing_docs)]
 
@@ -45,25 +48,17 @@ pub use task::{run_unit, PollTask, ReadyUnit, TaskCell, TaskOutcome, TaskResched
 use std::any::Any;
 use std::cell::{Cell, UnsafeCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use lwt_fiber::{cache, init_context, switch, switch_final, CachedStack, RawContext, StackSize};
 use lwt_metrics::registry::{emit, timestamp_if_tracing, COUNTERS, SPAWN_LATENCY};
 use lwt_metrics::{span, timeline, EventKind};
+use lwt_sched::{JoinSlot, UnitState, Wake};
 
-/// Work-unit lifecycle states.
-pub mod state {
-    /// Queued and claimable.
-    pub const READY: u8 = 0;
-    /// Claimed by a worker (running or suspended mid-yield-handoff).
-    pub const RUNNING: u8 = 1;
-    /// Completed.
-    pub const TERMINATED: u8 = 2;
-    /// Parked by [`crate::suspend`]; resumable only via
-    /// [`crate::awaken`].
-    pub const BLOCKED: u8 = 3;
-}
+/// Work-unit lifecycle states (the values of the
+/// [`lwt_sched::UnitState`] word).
+pub use lwt_sched::unit_state as state;
 
 /// The runtime-specific "where does a yielded ULT go" policy.
 ///
@@ -71,10 +66,20 @@ pub mod state {
 /// yield happened on — MassiveThreads pushes to that worker's own
 /// deque, Qthreads to the worker's shepherd, Go to the global queue.
 pub trait Requeue: Send + Sync + 'static {
-    /// Make `ult` runnable again. The core has already stored `READY`
-    /// (Release) into the state word; implementations only enqueue the
-    /// hint.
+    /// Make `ult` runnable again after a [`yield_now`]. The core has
+    /// already stored `READY` (Release) into the state word;
+    /// implementations only enqueue the hint.
     fn requeue(&self, worker: usize, ult: Arc<UltCore>);
+
+    /// Make `ult` runnable again after it was displaced by a
+    /// [`yield_to`] (the parent of a work-first spawn) or woken from a
+    /// [`suspend`] (a parked joiner whose child finished). Always
+    /// called on worker `worker`'s own thread. Defaults to
+    /// [`Requeue::requeue`]; MassiveThreads overrides it with an
+    /// owner-deque push, so the continuation is stealable.
+    fn displace(&self, worker: usize, ult: Arc<UltCore>) {
+        self.requeue(worker, ult);
+    }
 }
 
 impl<F: Fn(usize, Arc<UltCore>) + Send + Sync + 'static> Requeue for F {
@@ -85,7 +90,10 @@ impl<F: Fn(usize, Arc<UltCore>) + Send + Sync + 'static> Requeue for F {
 
 /// A stackful user-level thread record.
 pub struct UltCore {
-    state: AtomicU8,
+    state: UnitState,
+    /// The one ULT parked in [`park_join`] on this unit, woken by the
+    /// post-switch `Terminated` processing.
+    join: JoinSlot<Arc<UltCore>>,
     /// Saved context; valid whenever not RUNNING.
     ctx: UnsafeCell<RawContext>,
     /// Owned stack, on loan from the recycle cache; returned to it
@@ -96,9 +104,6 @@ pub struct UltCore {
     /// Panic escaped from the entry closure; re-raised by the join
     /// wrapper the runtime builds.
     panic: UnsafeCell<Option<Box<dyn Any + Send>>>,
-    /// Wakeup that raced with a [`crate::suspend`] in progress; consumed
-    /// by the post-switch Block processing.
-    wake_pending: std::sync::atomic::AtomicBool,
     /// Creation timestamp for the spawn-to-first-run histogram; zero
     /// when tracing is off (the stamp is skipped) or already consumed.
     spawn_ns: AtomicU64,
@@ -142,12 +147,12 @@ impl UltCore {
         COUNTERS.ults_created.inc();
         let stack = cache::acquire(stack_size);
         let ult = Arc::new(UltCore {
-            state: AtomicU8::new(state::READY),
+            state: UnitState::new(),
+            join: JoinSlot::new(),
             ctx: UnsafeCell::new(RawContext::null()),
             stack: UnsafeCell::new(None),
             entry: UnsafeCell::new(Some(Box::new(f))),
             panic: UnsafeCell::new(None),
-            wake_pending: std::sync::atomic::AtomicBool::new(false),
             spawn_ns: AtomicU64::new(timestamp_if_tracing()),
             span,
         });
@@ -167,14 +172,7 @@ impl UltCore {
 
     /// Claim READY → RUNNING, acquiring exclusive execution rights.
     pub fn claim(&self) -> bool {
-        self.state
-            .compare_exchange(
-                state::READY,
-                state::RUNNING,
-                Ordering::Acquire,
-                Ordering::Relaxed,
-            )
-            .is_ok()
+        self.state.claim()
     }
 
     /// Feed the spawn-to-first-run histogram the first time the unit
@@ -200,7 +198,7 @@ impl UltCore {
     /// Whether the ULT has completed.
     #[must_use]
     pub fn is_terminated(&self) -> bool {
-        self.state.load(Ordering::Acquire) == state::TERMINATED
+        self.state.is_terminated()
     }
 
     /// Take the panic payload, if the entry closure panicked.
@@ -217,9 +215,10 @@ impl UltCore {
 
 impl std::fmt::Debug for UltCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self.state.load(Ordering::Relaxed) {
+        let s = match self.state.load() {
             state::READY => "ready",
             state::RUNNING => "running",
+            state::BLOCKED => "blocked",
             _ => "terminated",
         };
         write!(f, "UltCore({s})")
@@ -228,7 +227,11 @@ impl std::fmt::Debug for UltCore {
 
 enum Post {
     None,
+    /// Yielded: back through [`Requeue::requeue`].
     Requeue(Arc<UltCore>),
+    /// Displaced by a `yield_to`: back through [`Requeue::displace`].
+    Displaced(Arc<UltCore>),
+    /// Finished: publish TERMINATED, then wake a parked joiner.
     Terminated(Arc<UltCore>),
     /// Park the ULT (suspend): publish BLOCKED unless a wakeup already
     /// raced in, in which case requeue immediately.
@@ -311,46 +314,34 @@ pub fn enter_worker(worker_id: usize, requeue: Arc<dyn Requeue>) -> WorkerGuard 
 unsafe fn process_post(w: *mut WorkerCtx) {
     // SAFETY: exclusive by contract.
     let post = std::mem::replace(unsafe { &mut (*w).post }, Post::None);
+    // SAFETY: worker fields are plain reads.
+    let (id, rq) = unsafe { ((*w).worker_id, &(*w).requeue) };
     match post {
         Post::None => {}
+        // READY must be published before the hint so the claim by the
+        // eventual popper succeeds.
         Post::Requeue(u) => {
-            // READY must be published before the hint so the claim by
-            // the eventual popper succeeds.
-            u.state.store(state::READY, Ordering::Release);
-            // SAFETY: worker fields are plain reads.
-            let (id, rq) = unsafe { ((*w).worker_id, (*w).requeue.clone()) };
+            u.state.set_ready();
             rq.requeue(id, u);
         }
+        Post::Displaced(u) => {
+            u.state.set_ready();
+            rq.displace(id, u);
+        }
         Post::Terminated(u) => {
-            u.state.store(state::TERMINATED, Ordering::Release);
+            u.state.terminate();
+            if let Some(joiner) = u.join.complete() {
+                // A mid-suspend joiner (`Pending`) is requeued by its
+                // own Block processing instead.
+                if joiner.state.wake() == Wake::Requeue {
+                    rq.displace(id, joiner);
+                }
+            }
         }
         Post::Block(u) => {
-            if u.wake_pending.swap(false, Ordering::AcqRel) {
-                // awaken() arrived while the ULT was still switching
-                // away: make it runnable again right now.
-                u.state.store(state::READY, Ordering::Release);
-                // SAFETY: worker fields are plain reads.
-                let (id, rq) = unsafe { ((*w).worker_id, (*w).requeue.clone()) };
-                rq.requeue(id, u);
-            } else {
-                u.state.store(state::BLOCKED, Ordering::Release);
-                // Re-check: awaken() may have set the flag between the
-                // swap above and the BLOCKED store; it would then have
-                // seen RUNNING and set the flag without requeueing.
-                if u.wake_pending.swap(false, Ordering::AcqRel)
-                    && u.state
-                        .compare_exchange(
-                            state::BLOCKED,
-                            state::READY,
-                            Ordering::AcqRel,
-                            Ordering::Relaxed,
-                        )
-                        .is_ok()
-                {
-                    // SAFETY: worker fields are plain reads.
-                    let (id, rq) = unsafe { ((*w).worker_id, (*w).requeue.clone()) };
-                    rq.requeue(id, u);
-                }
+            // A wake that raced the switch makes it runnable right now.
+            if u.state.park() {
+                rq.displace(id, u);
             }
         }
     }
@@ -452,7 +443,7 @@ pub fn yield_now() {
 }
 
 /// Transfer control directly to `target`, re-queuing the calling ULT
-/// via the runtime's [`Requeue`] policy — the primitive behind
+/// via the runtime's [`Requeue::displace`] path — the primitive behind
 /// MassiveThreads' *work-first* creation ("the current work unit is
 /// pushed into the ready queue and the thread executes the new work
 /// unit").
@@ -485,7 +476,7 @@ pub fn yield_to(target: &Arc<UltCore>) -> bool {
     unsafe {
         let me = (*w).current.take().expect("yielding ULT not current");
         let my_ctx: *mut RawContext = me.ctx.get();
-        (*w).post = Post::Requeue(me);
+        (*w).post = Post::Displaced(me);
         (*w).current = Some(target.clone());
         let tctx = *target.ctx.get();
         switch(&mut *my_ctx, tctx);
@@ -528,38 +519,49 @@ pub fn suspend() {
 /// parking yet), `false` if the ULT was not suspended (ready, running
 /// with no suspend in flight, or terminated).
 pub fn awaken(ult: &Arc<UltCore>, requeue: impl FnOnce(Arc<UltCore>)) -> bool {
-    loop {
-        match ult.state.load(Ordering::Acquire) {
-            state::BLOCKED => {
-                if ult
-                    .state
-                    .compare_exchange(
-                        state::BLOCKED,
-                        state::READY,
-                        Ordering::AcqRel,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
-                    requeue(ult.clone());
-                    return true;
-                }
-            }
-            state::RUNNING => {
-                // Either mid-suspend (our flag will be consumed by the
-                // post-switch Block processing) or simply running (the
-                // flag is consumed unset by a later suspend — which is
-                // exactly the semantics of a wakeup overtaking a park).
-                ult.wake_pending.store(true, Ordering::Release);
-                // If the park completed between our load and the store,
-                // loop to perform the wakeup ourselves.
-                if ult.state.load(Ordering::Acquire) != state::BLOCKED {
-                    return true;
-                }
-            }
-            _ => return false,
+    match ult.state.wake() {
+        Wake::Requeue => {
+            requeue(ult.clone());
+            true
         }
+        Wake::Pending => true,
+        Wake::NotParked => false,
     }
+}
+
+/// Wait inside a ULT for `target` to terminate by parking: the caller
+/// publishes itself in `target`'s joiner slot and [`suspend`]s, and
+/// the worker that finishes `target` wakes it through its
+/// [`Requeue::displace`] path. Returns at once when `target` already
+/// finished.
+///
+/// The caller must run on a worker of the runtime that executes
+/// `target`, since that runtime's policy requeues the joiner. The wait
+/// stays registered with the stall watchdog while parked, so a join on
+/// a unit that never finishes is still flagged.
+///
+/// # Panics
+///
+/// Panics when called outside a ULT.
+pub fn park_join(target: &Arc<UltCore>) {
+    if target.is_terminated() {
+        return;
+    }
+    let w = worker_ptr();
+    // SAFETY: when non-null, w is this thread's live ctx.
+    let me = (!w.is_null())
+        .then(|| unsafe { (*w).current.clone() })
+        .flatten()
+        .expect("lwt_ultcore::park_join() outside a ULT");
+    let _watch = lwt_chaos::block_enter(
+        lwt_chaos::BlockKind::Join,
+        Arc::as_ptr(target) as u64,
+    );
+    // A failed publish means `target` finished in the meantime.
+    if target.join.publish(me).is_ok() {
+        suspend();
+    }
+    debug_assert!(target.is_terminated());
 }
 
 /// Whether the caller is executing inside a ULT.
@@ -1063,10 +1065,7 @@ mod suspend_tests {
             p.fetch_add(1, Ordering::SeqCst);
         });
         // Wait until parked.
-        while progress.load(Ordering::SeqCst) < 1 || !matches!(
-            u.state.load(Ordering::Acquire),
-            state::BLOCKED
-        ) {
+        while progress.load(Ordering::SeqCst) < 1 || u.state.load() != state::BLOCKED {
             std::thread::yield_now();
         }
         assert_eq!(progress.load(Ordering::SeqCst), 1);

@@ -6,6 +6,10 @@ use std::sync::Arc;
 
 use lwt::{BackendKind, Glt};
 
+/// The watchdog configuration is process-global: tests that force it
+/// take turns.
+static WATCHDOG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn panicking_units_do_not_poison_the_runtime() {
     for kind in BackendKind::ALL {
@@ -192,6 +196,7 @@ fn chaos_steal_storm_completes_everything() {
 fn watchdog_flags_a_seeded_feb_deadlock() {
     use lwt::chaos::{BlockKind, StallSubject, WatchdogConfig};
 
+    let _serial = WATCHDOG.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     // Seed a deadlock: a reader blocks on an empty FEB cell nobody is
     // filling. The watchdog must flag the blocked wait within its
     // configured interval — and kill nothing (the reader completes
@@ -232,6 +237,65 @@ fn watchdog_flags_a_seeded_feb_deadlock() {
 
     lwt::chaos::take_reports();
     lwt::chaos::reset_watchdog_to_env();
+}
+
+#[test]
+fn watchdog_flags_a_parked_massive_join() {
+    use lwt::chaos::{BlockKind, StallSubject, WatchdogConfig};
+    use std::sync::atomic::AtomicBool;
+
+    // A MassiveThreads ULT joins a child that waits until released.
+    // The joiner parks (it is off every run queue), yet the watchdog
+    // must still list its wait as blocked — and flagging it harms
+    // nothing: the join completes once the child is released.
+    let _serial = WATCHDOG.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    lwt::chaos::take_reports();
+    lwt::chaos::force_watchdog(WatchdogConfig {
+        interval: std::time::Duration::from_millis(5),
+        worker_stall: std::time::Duration::from_secs(3600),
+        blocked_after: std::time::Duration::from_millis(40),
+    });
+
+    let rt = lwt::massive::Runtime::init(lwt::massive::Config {
+        num_workers: 2,
+        policy: lwt::massive::Policy::HelpFirst,
+        ..Default::default()
+    });
+    let release = Arc::new(AtomicBool::new(false));
+    let outer = {
+        let (rt2, release) = (rt.clone(), release.clone());
+        // Spawned from this thread and polled below, never joined while
+        // running: the only registered join wait is the parked one.
+        rt.spawn(move || {
+            let child = rt2.spawn(move || {
+                while !release.load(Ordering::Acquire) {
+                    lwt::massive::yield_now();
+                }
+                7
+            });
+            child.join()
+        })
+    };
+
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let flagged = loop {
+        let hit = lwt::chaos::reports()
+            .iter()
+            .any(|r| matches!(r.subject, StallSubject::Blocked(BlockKind::Join, _)));
+        if hit || std::time::Instant::now() >= deadline {
+            break hit;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    };
+    release.store(true, Ordering::Release);
+    while !outer.is_finished() {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    assert_eq!(outer.join(), 7, "parked joiner survived being flagged");
+    rt.shutdown();
+    lwt::chaos::take_reports();
+    lwt::chaos::reset_watchdog_to_env();
+    assert!(flagged, "watchdog never flagged the parked join");
 }
 
 #[test]
