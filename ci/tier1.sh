@@ -36,6 +36,10 @@ if [ -n "$EXTERNAL" ]; then
 fi
 echo "   ok: all packages are workspace-local"
 
+echo "== tier1: workspace size (informational, not a gate)"
+# ROADMAP tracks this number: the same behaviour from less code.
+echo "   $(git ls-files '*.rs' | grep -v '^lwtbench/' | xargs cat | wc -l) lines of .rs"
+
 echo "== tier1: offline release build (all targets, -D warnings)"
 cargo build --release --offline --all-targets
 
@@ -67,7 +71,7 @@ echo "== tier1: concurrency model check (--cfg lwt_model, bounded)"
 CARGO_TARGET_DIR=target/lwt-model \
     RUSTFLAGS="${RUSTFLAGS:-} --cfg lwt_model" \
     timeout 600 cargo test -q --offline -p lwt-model
-echo "   ok: model suites green (engine + chase_lev + injector + sync + stack cache + park + waker + timer + join)"
+echo "   ok: model suites green (engine + chase_lev + injector + sync + stack cache + park + kernel idle step + waker + timer + join)"
 
 echo "== tier1: trace-export smoke (LWT_TRACE=1)"
 # One real microbench run with tracing on must produce a parseable

@@ -2,7 +2,8 @@
 
 use std::sync::{Arc, OnceLock};
 
-use lwt_sched::{Injector, ParkGroup, SharedQueue};
+use lwt_sched::{Injector, SharedQueue};
+use lwt_ultcore::kernel::Crew;
 
 use crate::unit::Unit;
 
@@ -44,12 +45,12 @@ enum PoolQueue {
 /// consumer.
 pub(crate) struct PoolShared {
     queue: PoolQueue,
-    /// Installed once at registration: the runtime's park group plus
-    /// the owning stream (`None` for the shared pool, where any stream
-    /// may consume and the scanning wake-one applies). Pushes before
-    /// installation skip the wake — at that point no stream has had a
-    /// chance to park.
-    waker: OnceLock<(Arc<ParkGroup>, Option<usize>)>,
+    /// Installed once at registration: the runtime's worker crew (for
+    /// its park group) plus the owning stream (`None` for the shared
+    /// pool, where any stream may consume and the scanning wake-one
+    /// applies). Pushes before installation skip the wake — at that
+    /// point no stream has had a chance to park.
+    waker: OnceLock<(Arc<Crew>, Option<usize>)>,
 }
 
 impl PoolShared {
@@ -73,8 +74,8 @@ impl PoolShared {
     /// `owner` is the consuming stream for MPSC pools — only its
     /// parker is worth waking, exactly like a Converse processor
     /// queue — and `None` for the shared pool.
-    pub(crate) fn set_waker(&self, park: Arc<ParkGroup>, owner: Option<usize>) {
-        let _ = self.waker.set((park, owner));
+    pub(crate) fn set_waker(&self, crew: Arc<Crew>, owner: Option<usize>) {
+        let _ = self.waker.set((crew, owner));
     }
 
     pub(crate) fn push(&self, unit: Unit) {
@@ -84,10 +85,10 @@ impl PoolShared {
         }
         // Push first, then wake (see ParkGroup docs for why this order
         // prevents lost wakes).
-        if let Some((park, owner)) = self.waker.get() {
+        if let Some((crew, owner)) = self.waker.get() {
             match owner {
-                Some(stream) => park.notify_worker(*stream),
-                None => park.notify(),
+                Some(stream) => crew.park.notify_worker(*stream),
+                None => crew.park.notify(),
             }
         }
     }

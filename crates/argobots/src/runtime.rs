@@ -1,15 +1,15 @@
 //! Runtime lifecycle and work-unit creation APIs.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lwt_fiber::{cache, init_context, StackSize};
 use lwt_metrics::registry::{emit, timestamp_if_tracing, COUNTERS};
 use lwt_metrics::EventKind;
-use lwt_sched::ParkGroup;
 use lwt_sync::SpinLock;
-use lwt_ultcore::{join_within, DrainError, PollTask, Straggler, TaskResched, ABANDON_GRACE};
+use lwt_ultcore::kernel::Workers;
+use lwt_ultcore::{DrainError, PollTask};
 
 use crate::pool::{Pool, PoolPolicy, PoolShared};
 use crate::sched::Scheduler;
@@ -40,23 +40,18 @@ impl Default for Config {
     }
 }
 
-struct StreamEntry {
-    shared: Arc<StreamShared>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
 struct RtInner {
     policy: PoolPolicy,
     stack_size: StackSize,
     /// All pools; under `PrivatePerStream`, index i belongs to stream i.
     pools: SpinLock<Vec<Arc<PoolShared>>>,
-    streams: SpinLock<Vec<StreamEntry>>,
-    /// One park slot per stream. Sized with headroom at init so a few
-    /// dynamically created streams can still sleep; streams beyond the
-    /// capacity degrade to bounded naps (see `ParkGroup::park`).
-    park: Arc<ParkGroup>,
+    streams: SpinLock<Vec<Arc<StreamShared>>>,
+    /// The stream threads, with one park slot per stream. Sized with
+    /// headroom at init so a few dynamically created streams can still
+    /// sleep; streams beyond the capacity degrade to bounded naps (see
+    /// `ParkGroup::park`).
+    workers: Workers,
     rr: AtomicUsize,
-    shut: AtomicBool,
 }
 
 /// The Argobots-model runtime. Cheap to clone; all clones share the
@@ -85,16 +80,15 @@ impl Runtime {
             stack_size: config.stack_size,
             pools: SpinLock::new(Vec::new()),
             streams: SpinLock::new(Vec::new()),
-            park: Arc::new(ParkGroup::new(config.num_streams + 8)),
+            workers: Workers::new(config.num_streams + 8, "argobots"),
             rr: AtomicUsize::new(0),
-            shut: AtomicBool::new(false),
         });
         let rt = Runtime { inner };
         if config.pool_policy == PoolPolicy::SharedSingle {
             let pool = Arc::new(PoolShared::new_shared());
             // Any stream pops the shared pool, so a push wakes whichever
             // sleeper the scanning wake-one picks.
-            pool.set_waker(rt.inner.park.clone(), None);
+            pool.set_waker(rt.inner.workers.crew().clone(), None);
             rt.inner.pools.lock().push(pool);
         }
         for _ in 0..config.num_streams {
@@ -129,26 +123,19 @@ impl Runtime {
             // its single wake on a stream that cannot pop it). A push
             // racing ahead of this install merely skips the wake — the
             // stream thread below has not started, let alone parked.
-            pool.set_waker(self.inner.park.clone(), Some(id));
+            pool.set_waker(self.inner.workers.crew().clone(), Some(id));
         }
         let shared = Arc::new(StreamShared {
             id,
-            stop: AtomicBool::new(false),
-            abandon: AtomicBool::new(false),
+            crew: self.inner.workers.crew().clone(),
             pools: vec![pool],
-            park: self.inner.park.clone(),
             mailbox: SpinLock::new(Vec::new()),
         });
         let s2 = shared.clone();
-        COUNTERS.os_threads_spawned.inc();
-        let thread = std::thread::Builder::new()
-            .name(format!("abt-es-{id}"))
-            .spawn(move || es_main(&s2))
-            .expect("spawn execution stream");
-        streams.push(StreamEntry {
-            shared,
-            thread: Some(thread),
-        });
+        self.inner
+            .workers
+            .spawn(format!("abt-es-{id}"), move || es_main(&s2));
+        streams.push(shared);
         id
     }
 
@@ -178,7 +165,7 @@ impl Runtime {
     /// Panics if `stream` is out of range.
     pub fn push_scheduler(&self, stream: usize, sched: Box<dyn Scheduler>) {
         let streams = self.inner.streams.lock();
-        streams[stream].shared.mailbox.lock().push(sched);
+        streams[stream].mailbox.lock().push(sched);
     }
 
     /// Pick the pool new work is dispatched to, round-robin under the
@@ -289,21 +276,6 @@ impl Runtime {
         self.pool_of_stream(stream).push(Unit::Task(task));
     }
 
-    /// A reschedule hook posting via [`Runtime::post_task`]; holds the
-    /// runtime alive so late wakes (after user drop) still land.
-    #[must_use]
-    pub fn task_poster(&self) -> TaskResched {
-        let rt = self.clone();
-        Arc::new(move |t| rt.post_task(t))
-    }
-
-    /// A reschedule hook pinning every (re)schedule to `stream`'s pool.
-    #[must_use]
-    pub fn task_poster_to(&self, stream: usize) -> TaskResched {
-        let rt = self.clone();
-        Arc::new(move |t| rt.post_task_to(stream, t))
-    }
-
     /// Create a tasklet (`ABT_task_create`): a stackless work unit that
     /// runs atomically on the executing stream's own stack. Tasklets
     /// cannot yield — this is what makes them ~2× cheaper than ULTs in
@@ -363,21 +335,7 @@ impl Runtime {
     /// Waits unboundedly; see [`Runtime::shutdown_within`] for a drain
     /// with a deadline.
     pub fn shutdown(&self) {
-        if self.inner.shut.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let mut streams = self.inner.streams.lock();
-        for s in streams.iter() {
-            s.shared.stop.store(true, Ordering::Release);
-        }
-        // A fully parked pool of streams must notice the flags now, not
-        // after a backstop timeout.
-        self.inner.park.unpark_all();
-        for s in streams.iter_mut() {
-            if let Some(t) = s.thread.take() {
-                t.join().expect("execution stream panicked");
-            }
-        }
+        self.inner.workers.shutdown();
     }
 
     /// [`Runtime::shutdown`] with a drain deadline: streams get
@@ -389,79 +347,17 @@ impl Runtime {
     /// [`DrainError`] listing per-pool unit-hint residue when the
     /// deadline expired before every stream went idle.
     pub fn shutdown_within(&self, deadline: std::time::Duration) -> Result<(), DrainError> {
-        if self.inner.shut.swap(true, Ordering::AcqRel) {
-            return Ok(());
-        }
-        let (shareds, handles): (Vec<_>, Vec<_>) = {
-            let mut streams = self.inner.streams.lock();
-            for s in streams.iter() {
-                s.shared.stop.store(true, Ordering::Release);
-            }
-            streams
-                .iter_mut()
-                .filter_map(|s| s.thread.take().map(|t| (s.shared.clone(), t)))
-                .unzip()
-        };
-        // Wake every sleeper *before* the drain deadline starts: a
-        // fully parked pool drains instantly instead of eating the
-        // deadline in 20–200 ms backstop increments.
-        self.inner.park.unpark_all();
-        let timed_out = !join_within(&handles, deadline);
-        if timed_out {
-            for s in &shareds {
-                s.abandon.store(true, Ordering::Release);
-            }
-            self.inner.park.unpark_all();
-            // Grace for streams parked between units to notice the flag.
-            join_within(&handles, ABANDON_GRACE);
-        }
-        for t in handles {
-            if t.is_finished() {
-                t.join().expect("execution stream panicked");
-            } else {
-                // Wedged inside a unit: detach rather than hang (never
-                // kill); the thread's Arcs keep its shared state alive.
-                drop(t);
-            }
-        }
-        if timed_out {
-            let stragglers = self
-                .inner
+        let pending = || {
+            self.inner
                 .pools
                 .lock()
                 .iter()
-                .enumerate()
-                .filter(|(_, p)| p.len() > 0)
-                .map(|(worker, p)| Straggler {
-                    worker,
-                    pending: p.len(),
-                    what: "stream pool",
-                })
-                .collect();
-            Err(DrainError {
-                waited: deadline,
-                stragglers,
-            })
-        } else {
-            Ok(())
-        }
-    }
-}
-
-impl Drop for RtInner {
-    fn drop(&mut self) {
-        // Runtime::shutdown may not have been called; streams must not
-        // outlive the pools they reference.
-        let mut streams = self.streams.lock();
-        for s in streams.iter() {
-            s.shared.stop.store(true, Ordering::Release);
-        }
-        self.park.unpark_all();
-        for s in streams.iter_mut() {
-            if let Some(t) = s.thread.take() {
-                let _ = t.join();
-            }
-        }
+                .map(|p| p.len())
+                .collect::<Vec<_>>()
+        };
+        self.inner
+            .workers
+            .shutdown_within(deadline, "stream pool", pending)
     }
 }
 

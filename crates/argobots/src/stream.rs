@@ -17,14 +17,14 @@
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use lwt_fiber::{switch, switch_final, RawContext};
 use lwt_metrics::registry::{emit, COUNTERS};
 use lwt_metrics::{span, timeline, EventKind};
-use lwt_sched::{ParkGroup, ParkResult};
 use lwt_sync::{Backoff, SpinLock};
+use lwt_ultcore::kernel::Crew;
 
 use crate::pool::PoolShared;
 use crate::sched::{BasicScheduler, Pick, SchedContext, Scheduler};
@@ -64,15 +64,11 @@ fn es_ptr() -> *mut EsCtx {
 /// Shared state of one execution stream.
 pub(crate) struct StreamShared {
     pub(crate) id: usize,
-    pub(crate) stop: AtomicBool,
-    /// Degradation switch: when the [`crate::Runtime::shutdown_within`]
-    /// drain deadline expires, the stream breaks out of its loop even
-    /// with units still pooled (between units — never mid-ULT).
-    pub(crate) abandon: AtomicBool,
+    /// The runtime's stop/abandon flags and park group; slot `id` is
+    /// this stream's parker.
+    pub(crate) crew: Arc<Crew>,
     /// Pools this stream drains, own pool first. Fixed at creation.
     pub(crate) pools: Vec<Arc<PoolShared>>,
-    /// Runtime-wide park group; slot `id` is this stream's parker.
-    pub(crate) park: Arc<ParkGroup>,
     /// Schedulers pushed by `Runtime::push_scheduler`, adopted by the
     /// stream loop (stacked on top of the current one).
     pub(crate) mailbox: SpinLock<Vec<Box<dyn Scheduler>>>,
@@ -98,7 +94,7 @@ pub(crate) fn es_main(shared: &StreamShared) {
     let mut backoff = Backoff::new();
     loop {
         heartbeat.beat();
-        if shared.abandon.load(Ordering::Acquire) {
+        if shared.crew.abandoned() {
             break;
         }
         {
@@ -123,39 +119,19 @@ pub(crate) fn es_main(shared: &StreamShared) {
                 unsafe { execute(es, unit.0) };
             }
             Pick::Idle => {
-                if shared.stop.load(Ordering::Acquire) {
+                // The scheduler proved its pools dry. Pushes into any of
+                // this stream's pools fire the pool's wake hook, so the
+                // re-check counts exactly those pools.
+                let pending = || shared.pools.iter().map(|p| p.len()).sum();
+                if !shared.crew.idle(shared.id, &mut backoff, Some(&heartbeat), pending) {
                     break;
-                }
-                timeline::enter(timeline::WorkerState::Idle);
-                // Reactor idle hook: collect I/O readiness (wakes
-                // repost through this runtime) before backing off.
-                if lwt_sched::io_poll() > 0 {
-                    backoff.reset();
-                    continue;
-                }
-                backoff.spin();
-                if backoff.is_saturated() {
-                    // The scheduler proved its pools dry: park instead of
-                    // burning the core. Pushes into any of this stream's
-                    // pools fire the pool's wake hook; stop/abandon
-                    // arrive as `unpark_all` tokens from the shutdown
-                    // paths, so the backstop timeout is defense in depth
-                    // only. (Streams beyond the park group's capacity —
-                    // heavy `stream_create` use — degrade to a bounded
-                    // nap inside `park`.)
-                    let res = shared.park.park(shared.id, Some(&heartbeat), || {
-                        shared.pools.iter().map(|p| p.len()).sum()
-                    });
-                    if matches!(res, ParkResult::FoundWork | ParkResult::Woken) {
-                        backoff.reset();
-                    }
                 }
             }
             Pick::Done => {
                 if scheds.len() > 1 {
                     let mut done = scheds.pop().expect("non-empty stack");
                     done.unload(&ctx);
-                } else if shared.stop.load(Ordering::Acquire) {
+                } else if shared.crew.stopping() {
                     break;
                 } else {
                     // The base scheduler reported Done spuriously; treat
@@ -392,29 +368,5 @@ pub fn current_stream() -> Option<usize> {
 /// Wait for `cond`, yielding the ULT when inside one and spin-yielding
 /// the OS thread otherwise — the join discipline of `ABT_thread_free`.
 pub(crate) fn wait_until(cond: impl Fn() -> bool) {
-    if cond() {
-        return;
-    }
-    let _watch = lwt_chaos::block_enter(
-        lwt_chaos::BlockKind::Join,
-        std::ptr::from_ref(&cond) as u64,
-    );
-    if in_ult() {
-        // Yield so the stream runs other units; escalate to napping if
-        // the wait drags on (see lwt_sync::AdaptiveRelax for why pure
-        // yield loops starve oversubscribed hosts).
-        let mut relax = lwt_sync::AdaptiveRelax::new();
-        while !cond() {
-            yield_now();
-            if cond() {
-                break;
-            }
-            relax.relax();
-        }
-    } else {
-        let mut relax = lwt_sync::AdaptiveRelax::new();
-        while !cond() {
-            relax.relax();
-        }
-    }
+    lwt_ultcore::wait_until_with(cond, in_ult, yield_now);
 }

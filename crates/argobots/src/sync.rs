@@ -224,15 +224,9 @@ impl AbtBarrier {
     /// number works; they just serialize).
     pub fn wait(&self) -> bool {
         // SenseBarrier's relax is a plain closure; route it through the
-        // ULT-aware waiting discipline by polling with wait_until-style
-        // escalation.
-        let mut escalate = lwt_sync::AdaptiveRelax::new();
-        self.inner.wait(move || {
-            if crate::stream::in_ult() {
-                crate::stream::yield_now();
-            }
-            escalate.relax();
-        })
+        // ULT-aware waiting discipline.
+        let relax = lwt_ultcore::relax_with(crate::stream::in_ult, crate::stream::yield_now);
+        self.inner.wait(relax)
     }
 }
 

@@ -50,17 +50,17 @@ mod chare;
 
 pub use chare::Chare;
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lwt_fiber::StackSize;
 use lwt_metrics::registry::{emit, COUNTERS};
 use lwt_metrics::EventKind;
-use lwt_sched::{Injector, ParkGroup, RoundRobin};
-use lwt_sync::{SenseBarrier, SpinLock};
+use lwt_sched::{Injector, RoundRobin};
+use lwt_sync::{Backoff, SenseBarrier};
+use lwt_ultcore::kernel::Workers;
 use lwt_ultcore::{
-    enter_worker, join_within, run_ult, wait_until, DrainError, PollTask, Requeue, ResultCell,
-    Straggler, TaskResched, UltCore, ABANDON_GRACE,
+    enter_worker, run_ult, wait_until, DrainError, PollTask, Requeue, ResultCell, UltCore,
 };
 
 pub use lwt_ultcore::{current_worker as current_processor, in_ult, yield_now, JoinError};
@@ -113,10 +113,10 @@ struct Proc {
 
 struct RtInner {
     procs: Vec<Arc<Proc>>,
-    /// Idle-processor parking. Converse queues are single-consumer, so
-    /// wakes are strictly targeted ([`ParkGroup::notify_worker`]):
+    /// The processor threads. Converse queues are single-consumer, so
+    /// wakes are strictly targeted ([`lwt_sched::ParkGroup::notify_worker`]):
     /// waking anyone but the queue's owner cannot help.
-    park: ParkGroup,
+    workers: Workers,
     stack_size: StackSize,
     /// Work units created but not yet fully executed; the quiescence
     /// condition for barrier entry.
@@ -125,14 +125,7 @@ struct RtInner {
     /// counts the ones it has served.
     barrier_requested: AtomicUsize,
     barrier: SenseBarrier,
-    threads: SpinLock<Vec<Option<std::thread::JoinHandle<()>>>>,
     rr: RoundRobin,
-    stop: AtomicBool,
-    shut: AtomicBool,
-    /// Degradation switch: set by [`Runtime::shutdown_within`] when the
-    /// drain deadline expires; processors break out of their loop even
-    /// with work still queued.
-    abandon: AtomicBool,
 }
 
 /// The Converse-model runtime. Cheap to clone.
@@ -197,7 +190,7 @@ impl<T> UltHandle<T> {
         let proc = self.proc;
         lwt_ultcore::awaken(&self.ult, move |u| {
             inner.procs[proc].queue.push(ConvUnit::Ult(u));
-            inner.park.notify_worker(proc);
+            inner.workers.park_group().notify_worker(proc);
         })
     }
 }
@@ -227,33 +220,22 @@ impl Runtime {
             })
             .collect();
         let inner = Arc::new(RtInner {
-            park: ParkGroup::new(procs.len()),
+            workers: Workers::new(procs.len(), "converse"),
             procs,
             stack_size: config.stack_size,
             outstanding: AtomicUsize::new(0),
             barrier_requested: AtomicUsize::new(0),
             // Processors + the external master.
             barrier: SenseBarrier::new(config.num_processors + 1),
-            threads: SpinLock::new(Vec::new()),
             rr: RoundRobin::new(config.num_processors),
-            stop: AtomicBool::new(false),
-            shut: AtomicBool::new(false),
-            abandon: AtomicBool::new(false),
         });
-        let rt = Runtime { inner };
-        let mut threads = rt.inner.threads.lock();
         for p in 0..config.num_processors {
-            let inner = rt.inner.clone();
-            COUNTERS.os_threads_spawned.inc();
-            threads.push(Some(
-                std::thread::Builder::new()
-                    .name(format!("cvt-p{p}"))
-                    .spawn(move || proc_main(&inner, p))
-                    .expect("spawn converse processor"),
-            ));
+            let rt = inner.clone();
+            inner
+                .workers
+                .spawn(format!("cvt-p{p}"), move || proc_main(&rt, p));
         }
-        drop(threads);
-        rt
+        Runtime { inner }
     }
 
     /// [`Runtime::init`] with defaults.
@@ -282,7 +264,7 @@ impl Runtime {
         self.inner.procs[proc].queue.push(ConvUnit::Message(Box::new(f)));
         // Push first, then wake the owner if it is parked (see
         // ParkGroup docs for why this order prevents lost wakes).
-        self.inner.park.notify_worker(proc);
+        self.inner.workers.park_group().notify_worker(proc);
     }
 
     /// Send a message with round-robin processor selection — the
@@ -317,23 +299,7 @@ impl Runtime {
     pub fn post_task_to(&self, proc: usize, task: Arc<dyn PollTask>) {
         self.inner.outstanding.fetch_add(1, Ordering::AcqRel);
         self.inner.procs[proc].queue.push(ConvUnit::Task(task));
-        self.inner.park.notify_worker(proc);
-    }
-
-    /// A reschedule hook posting via [`Runtime::post_task`]; holds the
-    /// runtime alive so late wakes (after user drop) still land.
-    #[must_use]
-    pub fn task_poster(&self) -> TaskResched {
-        let rt = self.clone();
-        Arc::new(move |t| rt.post_task(t))
-    }
-
-    /// A reschedule hook pinning every (re)schedule to processor
-    /// `proc`.
-    #[must_use]
-    pub fn task_poster_to(&self, proc: usize) -> TaskResched {
-        let rt = self.clone();
-        Arc::new(move |t| rt.post_task_to(proc, t))
+        self.inner.workers.park_group().notify_worker(proc);
     }
 
     /// Create a ULT on the *calling* processor's queue (`CthCreate`).
@@ -380,7 +346,7 @@ impl Runtime {
         self.inner.outstanding.fetch_add(1, Ordering::AcqRel);
         emit(EventKind::UltSpawn, proc as u64);
         self.inner.procs[proc].queue.push(ConvUnit::Ult(ult.clone()));
-        self.inner.park.notify_worker(proc);
+        self.inner.workers.park_group().notify_worker(proc);
         UltHandle {
             ult,
             result,
@@ -400,7 +366,7 @@ impl Runtime {
         // Every processor owes the episode a visit — parked ones
         // included. Wake them all; backstop timeouts are defense in
         // depth, not how barriers are supposed to make progress.
-        self.inner.park.unpark_all();
+        self.inner.workers.park_group().unpark_all();
         let mut relax = lwt_sync::AdaptiveRelax::new();
         self.inner.barrier.wait(move || relax.relax());
     }
@@ -430,19 +396,7 @@ impl Runtime {
     /// Idempotent. Waits unboundedly; see [`Runtime::shutdown_within`]
     /// for a drain with a deadline.
     pub fn shutdown(&self) {
-        if self.inner.shut.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.inner.stop.store(true, Ordering::Release);
-        // A fully parked pool must notice the flag now, not after a
-        // backstop timeout.
-        self.inner.park.unpark_all();
-        let mut threads = self.inner.threads.lock();
-        for t in threads.iter_mut() {
-            if let Some(t) = t.take() {
-                t.join().expect("converse processor panicked");
-            }
-        }
+        self.inner.workers.shutdown();
     }
 
     /// [`Runtime::shutdown`] with a drain deadline: processors get
@@ -455,66 +409,10 @@ impl Runtime {
     /// [`DrainError`] listing per-processor queue residue when the
     /// deadline expired before quiescence.
     pub fn shutdown_within(&self, deadline: std::time::Duration) -> Result<(), DrainError> {
-        if self.inner.shut.swap(true, Ordering::AcqRel) {
-            return Ok(());
-        }
-        self.inner.stop.store(true, Ordering::Release);
-        // Wake every sleeper *before* the drain deadline starts: a
-        // fully parked pool drains instantly instead of eating the
-        // deadline in 20–200 ms backstop increments.
-        self.inner.park.unpark_all();
-        let handles: Vec<_> = {
-            let mut threads = self.inner.threads.lock();
-            threads.iter_mut().filter_map(Option::take).collect()
-        };
-        let timed_out = !join_within(&handles, deadline);
-        if timed_out {
-            self.inner.abandon.store(true, Ordering::Release);
-            self.inner.park.unpark_all();
-            // Grace for workers idling between units to notice the flag.
-            join_within(&handles, ABANDON_GRACE);
-        }
-        for t in handles {
-            if t.is_finished() {
-                t.join().expect("converse processor panicked");
-            } else {
-                // Wedged inside a unit: detach rather than hang (never
-                // kill); the thread's Arcs keep its shared state alive.
-                drop(t);
-            }
-        }
-        if timed_out {
-            let stragglers = self
-                .inner
-                .procs
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| !p.queue.is_empty())
-                .map(|(worker, p)| Straggler {
-                    worker,
-                    pending: p.queue.len(),
-                    what: "processor queue",
-                })
-                .collect();
-            Err(DrainError {
-                waited: deadline,
-                stragglers,
-            })
-        } else {
-            Ok(())
-        }
-    }
-}
-
-impl Drop for RtInner {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        self.park.unpark_all();
-        for t in self.threads.lock().iter_mut() {
-            if let Some(t) = t.take() {
-                let _ = t.join();
-            }
-        }
+        let pending = || self.inner.procs.iter().map(|p| p.queue.len());
+        self.inner
+            .workers
+            .shutdown_within(deadline, "processor queue", pending)
     }
 }
 
@@ -527,19 +425,20 @@ impl std::fmt::Debug for Runtime {
     }
 }
 
+/// Yielded ULTs return to their current processor's queue — ULTs never
+/// migrate through another queue (messages only).
+impl Requeue for RtInner {
+    fn requeue(&self, worker: usize, u: Arc<UltCore>) {
+        self.procs[worker].queue.push(ConvUnit::Ult(u));
+    }
+}
+
 fn proc_main(inner: &Arc<RtInner>, p: usize) {
     let proc = inner.procs[p].clone();
-    let requeue: Arc<dyn Requeue> = {
-        let procs = inner.procs.clone();
-        Arc::new(move |worker: usize, u: Arc<UltCore>| {
-            // Yielded ULTs return to their current processor's queue —
-            // ULTs never migrate through another queue (messages only).
-            procs[worker].queue.push(ConvUnit::Ult(u));
-        })
-    };
-    let _guard = enter_worker(p, requeue);
-    let heartbeat = lwt_chaos::register_worker("converse", p);
-    let mut backoff = lwt_sync::Backoff::new();
+    let _guard = enter_worker(p, inner.clone());
+    let crew = inner.workers.crew();
+    let heartbeat = lwt_chaos::register_worker(inner.workers.label(), p);
+    let mut backoff = Backoff::new();
     // Barrier episodes this processor has served. A shared "completed"
     // count would let a processor leaving an episode read it before
     // the last arriver bumps it and enter a phantom episode, stranding
@@ -547,7 +446,7 @@ fn proc_main(inner: &Arc<RtInner>, p: usize) {
     let mut served = 0;
     loop {
         heartbeat.beat();
-        if inner.abandon.load(Ordering::Acquire) {
+        if crew.abandoned() {
             break;
         }
         let unit = proc.queue.pop();
@@ -590,28 +489,13 @@ fn proc_main(inner: &Arc<RtInner>, p: usize) {
                     inner.barrier.wait(move || relax.relax());
                     continue;
                 }
-                if inner.stop.load(Ordering::Acquire) {
-                    break;
-                }
                 // No steal phase here: Converse ULTs never migrate, so
-                // an empty queue goes straight to Idle.
-                lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Idle);
-                // Reactor idle hook: collect I/O readiness (wakes
-                // repost through this runtime) before backing off.
-                if lwt_sched::io_poll() > 0 {
-                    backoff.reset();
-                    continue;
-                }
-                backoff.spin();
-                if backoff.is_saturated() {
-                    // The queue is dry and no barrier episode is due:
-                    // sleep instead of burning the core. Only our own
-                    // queue feeds us, so the re-check counts just its
-                    // length; barrier requests and shutdown arrive as
-                    // wake tokens (their senders call `unpark_all`).
-                    let _ = inner
-                        .park
-                        .park(p, Some(&heartbeat), || proc.queue.len());
+                // an empty queue goes straight to idle. Only our own
+                // queue feeds us, so the park re-check counts just its
+                // length; barrier requests and shutdown arrive as wake
+                // tokens (their senders call `unpark_all`).
+                if !crew.idle(p, &mut backoff, Some(&heartbeat), || proc.queue.len()) {
+                    break;
                 }
             }
         }
@@ -621,7 +505,7 @@ fn proc_main(inner: &Arc<RtInner>, p: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use lwt_sync::SpinLock;
 
     fn rt(n: usize) -> Runtime {
         Runtime::init(Config {
@@ -783,7 +667,7 @@ mod tests {
 #[cfg(test)]
 mod suspend_tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use lwt_sync::SpinLock;
 
     #[test]
     fn cth_suspend_awaken_round_trip() {

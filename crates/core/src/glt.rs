@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use lwt_fiber::StackSize;
 use lwt_sched::{force_wait_policy, WaitPolicy};
 use lwt_sync::{Event, SpinLock};
-use lwt_ultcore::task::{TaskCell, TaskOutcome, TaskResched};
+use lwt_ultcore::task::{PollTask, TaskCell, TaskOutcome, TaskResched};
 use lwt_ultcore::{blocking, DrainError, JoinError};
 
 use crate::error::{PlacementError, SpawnError};
@@ -271,6 +271,24 @@ pub enum AsyncQueuePolicy {
     /// task out of the steal traffic. Validated against the worker
     /// count at [`GltBuilder::build`] time.
     Pinned(usize),
+}
+
+/// The reschedule hook for one backend under `policy`: `post` places
+/// each (re)scheduled task, `post_to` pins it. The hook owns a clone of
+/// the runtime handle, so a late wake from a foreign thread (a
+/// blocking-pool completion after the master dropped the runtime) still
+/// has somewhere to enqueue.
+fn task_poster<R: Clone + Send + Sync + 'static>(
+    rt: &R,
+    policy: AsyncQueuePolicy,
+    post: fn(&R, Arc<dyn PollTask>),
+    post_to: fn(&R, usize, Arc<dyn PollTask>),
+) -> TaskResched {
+    let rt = rt.clone();
+    match policy {
+        AsyncQueuePolicy::RoundRobin => Arc::new(move |t| post(&rt, t)),
+        AsyncQueuePolicy::Pinned(w) => Arc::new(move |t| post_to(&rt, w, t)),
+    }
 }
 
 #[derive(Clone)]
@@ -805,17 +823,18 @@ impl Glt {
     /// the initial enqueue and every waker-driven requeue go through it,
     /// so placement is decided in exactly one place.
     fn task_resched(&self) -> TaskResched {
-        match (&self.backend, self.async_queue) {
-            (Backend::Argobots(rt), AsyncQueuePolicy::RoundRobin) => rt.task_poster(),
-            (Backend::Argobots(rt), AsyncQueuePolicy::Pinned(w)) => rt.task_poster_to(w),
-            (Backend::Qthreads(rt), AsyncQueuePolicy::RoundRobin) => rt.task_poster(),
-            (Backend::Qthreads(rt), AsyncQueuePolicy::Pinned(w)) => rt.task_poster_to(w),
-            (Backend::Massive(rt), AsyncQueuePolicy::RoundRobin) => rt.task_poster(),
-            (Backend::Massive(rt), AsyncQueuePolicy::Pinned(w)) => rt.task_poster_to(w),
-            (Backend::Converse(rt), AsyncQueuePolicy::RoundRobin) => rt.task_poster(),
-            (Backend::Converse(rt), AsyncQueuePolicy::Pinned(w)) => rt.task_poster_to(w),
-            (Backend::Go(rt), AsyncQueuePolicy::RoundRobin) => rt.task_poster(),
-            (Backend::Go(rt), AsyncQueuePolicy::Pinned(w)) => rt.task_poster_to(w),
+        use lwt_argobots::Runtime as Abt;
+        use lwt_converse::Runtime as Cvt;
+        use lwt_go::Runtime as Go;
+        use lwt_massive::Runtime as Mth;
+        use lwt_qthreads::Runtime as Qth;
+        let q = self.async_queue;
+        match &self.backend {
+            Backend::Argobots(rt) => task_poster(rt, q, Abt::post_task, Abt::post_task_to),
+            Backend::Qthreads(rt) => task_poster(rt, q, Qth::post_task, Qth::post_task_to),
+            Backend::Massive(rt) => task_poster(rt, q, Mth::post_task, Mth::post_task_to),
+            Backend::Converse(rt) => task_poster(rt, q, Cvt::post_task, Cvt::post_task_to),
+            Backend::Go(rt) => task_poster(rt, q, Go::post_task, Go::post_task_to),
         }
     }
 

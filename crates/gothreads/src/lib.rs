@@ -54,17 +54,17 @@
 
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lwt_fiber::StackSize;
-use lwt_metrics::registry::{emit, COUNTERS};
+use lwt_metrics::registry::emit;
 use lwt_metrics::EventKind;
-use lwt_sched::{near_first, ParkGroup, ReadyQueue};
-use lwt_sync::{Channel, CountLatch, RecvError, SendError, SpinLock};
+use lwt_sched::ReadyQueue;
+use lwt_sync::{Channel, CountLatch, RecvError, SendError};
+use lwt_ultcore::kernel::{self, ReadyPolicy, Victims, Workers};
 use lwt_ultcore::{
-    current_worker, enter_worker, in_ult, join_within, run_unit, wait_until, DrainError, PollTask,
-    ReadyUnit, Requeue, Straggler, TaskResched, UltCore, ABANDON_GRACE,
+    current_worker, relax, wait_until, DrainError, PollTask, ReadyUnit, Requeue, UltCore,
 };
 
 /// Runtime configuration.
@@ -92,17 +92,11 @@ struct RtInner {
     /// Goroutines and stackless future tasks share the queues
     /// ([`ReadyUnit`]).
     queues: Vec<ReadyQueue<ReadyUnit>>,
-    /// Idle-worker parking (wake-one); every push site notifies.
-    park: ParkGroup,
+    /// The scheduler threads; every push site notifies their park
+    /// group (wake-one).
+    workers: Workers,
     next: AtomicUsize,
     stack_size: StackSize,
-    threads: SpinLock<Vec<Option<std::thread::JoinHandle<()>>>>,
-    stop: AtomicBool,
-    /// Bounded-drain escape hatch: set when a `shutdown_within`
-    /// deadline expires so workers exit even with queued (wedged)
-    /// goroutines still rotating through their queues.
-    abandon: AtomicBool,
-    shut: AtomicBool,
 }
 
 /// The Go-model runtime. Cheap to clone.
@@ -122,28 +116,17 @@ impl Runtime {
         assert!(config.num_threads > 0, "need at least one thread");
         let inner = Arc::new(RtInner {
             queues: (0..config.num_threads).map(|_| ReadyQueue::new()).collect(),
-            park: ParkGroup::new(config.num_threads),
+            workers: Workers::new(config.num_threads, "go"),
             next: AtomicUsize::new(0),
             stack_size: config.stack_size,
-            threads: SpinLock::new(Vec::new()),
-            stop: AtomicBool::new(false),
-            abandon: AtomicBool::new(false),
-            shut: AtomicBool::new(false),
         });
-        let rt = Runtime { inner };
-        let mut threads = rt.inner.threads.lock();
         for t in 0..config.num_threads {
-            let inner = rt.inner.clone();
-            COUNTERS.os_threads_spawned.inc();
-            threads.push(Some(
-                std::thread::Builder::new()
-                    .name(format!("go-m{t}"))
-                    .spawn(move || worker_main(&inner, t))
-                    .expect("spawn go scheduler thread"),
-            ));
+            let rt = inner.clone();
+            inner
+                .workers
+                .spawn(format!("go-m{t}"), move || kernel::run(&rt, t));
         }
-        drop(threads);
-        rt
+        Runtime { inner }
     }
 
     /// [`Runtime::init`] with defaults.
@@ -155,7 +138,7 @@ impl Runtime {
     /// Number of scheduler threads.
     #[must_use]
     pub fn num_threads(&self) -> usize {
-        self.inner.threads.lock().len()
+        self.inner.queues.len()
     }
 
     /// Launch a goroutine (`go f()`). No handle is returned — Go has no
@@ -166,30 +149,28 @@ impl Runtime {
     {
         let ult = UltCore::new(self.inner.stack_size, f);
         emit(EventKind::UltSpawn, 0);
+        self.place(ult.into());
+    }
+
+    /// A spawn from a scheduler thread lands on that worker's own deque
+    /// (ReadyQueue::push routes by caller identity); external spawns
+    /// are injected round-robin across the workers' inboxes.
+    fn place(&self, unit: ReadyUnit) {
         let n = self.inner.queues.len();
-        // A spawn from a scheduler thread lands on that worker's own
-        // deque (ReadyQueue::push routes by caller identity); external
-        // spawns are injected round-robin across the workers' inboxes.
         let target = match current_worker() {
             Some(w) if w < n => w,
             _ => self.inner.next.fetch_add(1, Ordering::Relaxed) % n,
         };
-        self.inner.queues[target].push(ult.into());
+        self.inner.queues[target].push(unit);
         // Push first, then wake at most one sleeper (see ParkGroup
         // docs for why this order is what prevents lost wakes).
-        self.inner.park.notify_near(target);
+        self.inner.workers.park_group().notify_near(target);
     }
 
     /// Enqueue a stackless future task, picking the target queue like
     /// [`Runtime::go`] (caller's own worker, else round-robin).
     pub fn post_task(&self, task: Arc<dyn PollTask>) {
-        let n = self.inner.queues.len();
-        let target = match current_worker() {
-            Some(w) if w < n => w,
-            _ => self.inner.next.fetch_add(1, Ordering::Relaxed) % n,
-        };
-        self.inner.queues[target].push(ReadyUnit::Task(task));
-        self.inner.park.notify_near(target);
+        self.place(ReadyUnit::Task(task));
     }
 
     /// Enqueue a stackless future task on worker `worker`'s queue.
@@ -199,33 +180,7 @@ impl Runtime {
     /// Panics if `worker` is out of range.
     pub fn post_task_to(&self, worker: usize, task: Arc<dyn PollTask>) {
         self.inner.queues[worker].push(ReadyUnit::Task(task));
-        self.inner.park.notify_near(worker);
-    }
-
-    /// A cloneable hook that [`Runtime::post_task`]s into this runtime:
-    /// the reschedule target of every waker built over these queues.
-    /// Holds the runtime's shared state alive, so late wakes (a
-    /// blocking-pool completion after the master dropped the runtime
-    /// handle) still have somewhere to enqueue.
-    #[must_use]
-    pub fn task_poster(&self) -> TaskResched {
-        let rt = Runtime {
-            inner: self.inner.clone(),
-        };
-        Arc::new(move |t: Arc<dyn PollTask>| rt.post_task(t))
-    }
-
-    /// [`Runtime::task_poster`] pinned to one worker's queue.
-    ///
-    /// # Panics
-    ///
-    /// The returned hook panics if `worker` is out of range.
-    #[must_use]
-    pub fn task_poster_to(&self, worker: usize) -> TaskResched {
-        let rt = Runtime {
-            inner: self.inner.clone(),
-        };
-        Arc::new(move |t: Arc<dyn PollTask>| rt.post_task_to(worker, t))
+        self.inner.workers.park_group().notify_near(worker);
     }
 
     /// Create a buffered channel (`make(chan T, cap)`); capacity 0 is
@@ -251,19 +206,7 @@ impl Runtime {
     /// lost channel message) makes this wait forever — use
     /// [`Runtime::shutdown_within`] to degrade gracefully instead.
     pub fn shutdown(&self) {
-        if self.inner.shut.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.inner.stop.store(true, Ordering::Release);
-        // A fully parked pool must notice the flag now, not after a
-        // backstop timeout.
-        self.inner.park.unpark_all();
-        let mut threads = self.inner.threads.lock();
-        for t in threads.iter_mut() {
-            if let Some(t) = t.take() {
-                t.join().expect("go scheduler thread panicked");
-            }
-        }
+        self.inner.workers.shutdown();
     }
 
     /// [`Runtime::shutdown`] with a drain deadline: wait up to
@@ -278,66 +221,7 @@ impl Runtime {
     /// [`DrainError`] when the deadline expired with goroutines still
     /// queued or running.
     pub fn shutdown_within(&self, deadline: std::time::Duration) -> Result<(), DrainError> {
-        if self.inner.shut.swap(true, Ordering::AcqRel) {
-            return Ok(());
-        }
-        self.inner.stop.store(true, Ordering::Release);
-        // Wake every sleeper *before* the drain deadline starts: a
-        // fully parked pool drains instantly instead of eating the
-        // deadline in 20–200 ms backstop increments.
-        self.inner.park.unpark_all();
-        let handles: Vec<_> = {
-            let mut threads = self.inner.threads.lock();
-            threads.iter_mut().filter_map(Option::take).collect()
-        };
-        let timed_out = !join_within(&handles, deadline);
-        if timed_out {
-            self.inner.abandon.store(true, Ordering::Release);
-            self.inner.park.unpark_all();
-            // Grace for workers idling between units to notice the flag.
-            join_within(&handles, ABANDON_GRACE);
-        }
-        for t in handles {
-            if t.is_finished() {
-                t.join().expect("go scheduler thread panicked");
-            } else {
-                // Wedged inside a unit: detach rather than hang (never
-                // kill); the thread's Arcs keep its shared state alive.
-                drop(t);
-            }
-        }
-        if timed_out {
-            let stragglers = self
-                .inner
-                .queues
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| !q.is_empty())
-                .map(|(worker, q)| Straggler {
-                    worker,
-                    pending: q.len(),
-                    what: "goroutine ready queue",
-                })
-                .collect();
-            Err(DrainError {
-                waited: deadline,
-                stragglers,
-            })
-        } else {
-            Ok(())
-        }
-    }
-}
-
-impl Drop for RtInner {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        self.park.unpark_all();
-        for t in self.threads.lock().iter_mut() {
-            if let Some(t) = t.take() {
-                let _ = t.join();
-            }
-        }
+        self.inner.drain_within(deadline)
     }
 }
 
@@ -353,90 +237,30 @@ impl std::fmt::Debug for Runtime {
     }
 }
 
-fn worker_main(inner: &Arc<RtInner>, id: usize) {
-    let requeue: Arc<dyn Requeue> = {
-        let q = inner.clone();
-        Arc::new(move |w: usize, u: Arc<UltCore>| {
-            q.queues[w].push(u.into());
-            q.park.notify_near(w);
-        })
-    };
-    let _guard = enter_worker(id, requeue);
-    inner.queues[id].bind();
-    let n = inner.queues.len();
-    let mut backoff = lwt_sync::Backoff::new();
-    let heartbeat = lwt_chaos::register_worker("go", id);
-    // Pre-park emptiness estimate: own queue in full, victims' deques
-    // only (their inboxes are single-consumer — unreachable to us).
-    let pending = |inner: &RtInner| {
-        inner.queues[id].len()
-            + near_first(id, n)
-                .map(|v| inner.queues[v].stealable_len())
-                .sum::<usize>()
-    };
-    loop {
-        heartbeat.beat();
-        if inner.abandon.load(Ordering::Acquire) {
-            break;
-        }
-        // Bounded sweep: local deque + inbox, then every victim once,
-        // nearest first. No unbounded retry anywhere on this path.
-        let unit = inner.queues[id].pop().or_else(|| {
-            lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Steal);
-            for v in near_first(id, n) {
-                COUNTERS.steal_attempts.inc();
-                if let Some(u) = inner.queues[v].steal() {
-                    COUNTERS.steal_hits.inc();
-                    emit(EventKind::StealHit, v as u64);
-                    return Some(u);
-                }
-            }
-            None
-        });
-        match unit {
-            Some(u) => {
-                if lwt_chaos::should_inject(lwt_chaos::FaultSite::YieldPoint) {
-                    std::thread::yield_now();
-                }
-                backoff.reset();
-                run_unit(&u);
-            }
-            None => {
-                if inner.stop.load(Ordering::Acquire) {
-                    break;
-                }
-                lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Idle);
-                // Dry sweep: give the I/O reactor (if one is running)
-                // a zero-timeout poll before burning backoff rounds —
-                // readiness wakes repost through this runtime's own
-                // queues, so a non-zero return means work may exist.
-                if lwt_sched::io_poll() > 0 {
-                    backoff.reset();
-                    continue;
-                }
-                backoff.spin();
-                if backoff.is_saturated() {
-                    // The sweep proved the pool dry: sleep instead of
-                    // burning the core (the pre-parking idle loop ate
-                    // 100% CPU per idle worker here).
-                    let _ = inner.park.park(id, Some(&heartbeat), || pending(inner));
-                }
-            }
-        }
+/// Yielded and displaced goroutines go back onto their worker's own
+/// run queue.
+impl Requeue for RtInner {
+    fn requeue(&self, worker: usize, ult: Arc<UltCore>) {
+        self.queues[worker].push(ult.into());
+        self.workers.park_group().notify_near(worker);
     }
 }
 
-/// The implicit reschedule performed inside blocking channel
-/// operations: goroutines rotate through the global queue; external
-/// threads yield to the kernel. Not exposed — Go offers no user yield.
-fn go_relax() -> impl FnMut() {
-    let inside = in_ult();
-    let mut escalate = lwt_sync::AdaptiveRelax::new();
-    move || {
-        if inside {
-            lwt_ultcore::yield_now();
-        }
-        escalate.relax();
+impl ReadyPolicy for RtInner {
+    const STRAGGLER: &'static str = "goroutine ready queue";
+
+    fn queues(&self) -> &[ReadyQueue<ReadyUnit>] {
+        &self.queues
+    }
+
+    fn workers(&self) -> &Workers {
+        &self.workers
+    }
+
+    /// Any idle thread may take any goroutine: every other worker,
+    /// nearest first, once per dry sweep.
+    fn victims(&self, _: usize) -> Victims {
+        Victims::NearFirst
     }
 }
 
@@ -461,7 +285,10 @@ impl<T> Sender<T> {
     ///
     /// [`SendError`] when the channel is closed.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        self.ch.send(value, go_relax())
+        // The implicit reschedule of blocking channel operations:
+        // goroutines rotate through the run queues, external threads
+        // yield to the kernel. Go offers no user-visible yield.
+        self.ch.send(value, relax())
     }
 
     /// Non-blocking send attempt (`select` with `default`).
@@ -505,7 +332,7 @@ impl<T> Receiver<T> {
     ///
     /// [`RecvError`] once the channel is closed and drained.
     pub fn recv(&self) -> Result<T, RecvError> {
-        self.ch.recv(go_relax())
+        self.ch.recv(relax())
     }
 
     /// Non-blocking receive attempt.
@@ -728,7 +555,7 @@ pub enum Either<A, B> {
 ///
 /// [`RecvError`] once *both* channels are closed and drained.
 pub fn select2<A, B>(a: &Receiver<A>, b: &Receiver<B>) -> Result<Either<A, B>, RecvError> {
-    let mut relax = go_relax();
+    let mut relax = relax();
     let mut flip = false;
     loop {
         let (mut a_closed, mut b_closed) = (false, false);

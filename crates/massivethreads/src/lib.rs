@@ -50,17 +50,15 @@
 #![warn(missing_docs)]
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use lwt_fiber::StackSize;
-use lwt_metrics::registry::{emit, COUNTERS, STEAL_DWELL};
-use lwt_metrics::{clock, EventKind};
-use lwt_sched::{near_first, ParkGroup, ParkResult, RandomVictim, ReadyQueue};
-use lwt_sync::SpinLock;
+use lwt_metrics::registry::emit;
+use lwt_metrics::EventKind;
+use lwt_sched::{RandomVictim, ReadyQueue};
+use lwt_ultcore::kernel::{self, ReadyPolicy, Victims, Workers};
 use lwt_ultcore::{
-    enter_worker, join_within, park_join, run_unit, wait_until, yield_to, DrainError, PollTask,
-    ReadyUnit, Requeue, ResultCell, Straggler, TaskResched, UltCore, ABANDON_GRACE,
+    park_join, wait_until, yield_to, DrainError, PollTask, ReadyUnit, Requeue, ResultCell, UltCore,
 };
 
 pub use lwt_ultcore::{current_worker, in_ult, yield_now, JoinError};
@@ -105,16 +103,11 @@ struct RtInner {
     /// ULTs and stackless future tasks share the queues
     /// ([`ReadyUnit`]).
     queues: Vec<ReadyQueue<ReadyUnit>>,
-    /// Idle-worker parking (wake-one); every push site notifies.
-    park: ParkGroup,
-    threads: SpinLock<Vec<Option<std::thread::JoinHandle<()>>>>,
-    stop: AtomicBool,
-    /// Bounded-drain escape hatch: workers exit even with (wedged)
-    /// units still queued once a `shutdown_within` deadline expires.
-    abandon: AtomicBool,
+    /// The workers; every push site notifies their park group
+    /// (wake-one).
+    workers: Workers,
     policy: Policy,
     stack_size: StackSize,
-    shut: AtomicBool,
 }
 
 /// The MassiveThreads-model runtime. Cheap to clone.
@@ -206,28 +199,19 @@ impl Runtime {
         assert!(config.num_workers > 0, "need at least one worker");
         let inner = Arc::new(RtInner {
             queues: (0..config.num_workers).map(|_| ReadyQueue::new()).collect(),
-            park: ParkGroup::new(config.num_workers),
-            threads: SpinLock::new(Vec::new()),
-            stop: AtomicBool::new(false),
-            abandon: AtomicBool::new(false),
+            workers: Workers::new(config.num_workers, "massivethreads"),
             policy: config.policy,
             stack_size: config.stack_size,
-            shut: AtomicBool::new(false),
         });
-        let rt = Runtime { inner };
-        let mut threads = rt.inner.threads.lock();
         for w in 0..config.num_workers {
-            let inner = rt.inner.clone();
-            COUNTERS.os_threads_spawned.inc();
-            threads.push(Some(
-                std::thread::Builder::new()
-                    .name(format!("myth-w{w}"))
-                    .spawn(move || worker_main(&inner, w))
-                    .expect("spawn massivethreads worker"),
-            ));
+            let rt = inner.clone();
+            inner.workers.spawn(format!("myth-w{w}"), move || {
+                // The thread is this worker for the rest of its life.
+                WORKER_OF.with(|c| c.set(Arc::as_ptr(&rt) as usize));
+                kernel::run(&rt, w);
+            });
         }
-        drop(threads);
-        rt
+        Runtime { inner }
     }
 
     /// [`Runtime::init`] with defaults.
@@ -268,8 +252,7 @@ impl Runtime {
             unsafe { slot.put(value) };
         });
         emit(EventKind::UltSpawn, 0);
-        self.inner.queues[0].inject(ult.clone().into());
-        self.inner.park.notify_near(0);
+        self.place(ult.clone().into());
         wait_until(|| ult.is_terminated());
         lwt_metrics::span::on_join(ult.span_id());
         if let Some(p) = ult.take_panic() {
@@ -308,32 +291,13 @@ impl Runtime {
             EventKind::UltSpawn,
             u64::from(policy == Policy::WorkFirst),
         );
-        match (policy, current_worker()) {
-            (Policy::WorkFirst, Some(_)) if in_ult() => {
-                // Work-first from inside a ULT: run the child now; the
-                // post-switch protocol pushes the parent onto the
-                // current worker's deque, where it can be stolen.
-                if !yield_to(&ult) {
-                    // Claim raced (cannot normally happen for a fresh
-                    // ULT); degrade to help-first.
-                    self.inner.queues[0].inject(ult.clone().into());
-                    self.inner.park.notify_near(0);
-                }
-            }
-            (_, Some(w)) => {
-                // Help-first from a worker: straight onto this worker's
-                // own deque (the zero-allocation owner fast path). Wake
-                // a thief so a parked pool still spreads the load.
-                self.inner.queues[w].push(ult.clone().into());
-                self.inner.park.notify_near(w);
-            }
-            (_, None) => {
-                // External thread: into worker 0's inbox, to be batched
-                // onto its deque and stolen from there (the paper's
-                // MassiveThreads (H) shape).
-                self.inner.queues[0].inject(ult.clone().into());
-                self.inner.park.notify_near(0);
-            }
+        // Work-first from inside a ULT: run the child now; the
+        // post-switch protocol pushes the parent onto the current
+        // worker's deque, where it can be stolen. A lost claim (cannot
+        // normally happen for a fresh ULT) degrades to help-first.
+        let work_first = policy == Policy::WorkFirst && in_ult() && current_worker().is_some();
+        if !(work_first && yield_to(&ult)) {
+            self.place(ult.clone().into());
         }
         Handle {
             ult,
@@ -342,21 +306,29 @@ impl Runtime {
         }
     }
 
-    /// Enqueue a stackless future task: onto the calling worker's own
-    /// deque from inside the runtime (help-first shape — a polled task
-    /// cannot displace its poller), else into worker 0's inbox like an
-    /// external spawn, from where stealing spreads it.
-    pub fn post_task(&self, task: Arc<dyn PollTask>) {
-        match current_worker() {
+    /// Help-first placement. From a worker: straight onto its own
+    /// deque (the zero-allocation owner fast path). From an external
+    /// thread: into worker 0's inbox, to be batched onto its deque and
+    /// stolen from there (the paper's MassiveThreads (H) shape). Either
+    /// way, wake a thief so a parked pool still spreads the load.
+    fn place(&self, unit: ReadyUnit) {
+        let target = match current_worker() {
             Some(w) if w < self.inner.queues.len() => {
-                self.inner.queues[w].push(ReadyUnit::Task(task));
-                self.inner.park.notify_near(w);
+                self.inner.queues[w].push(unit);
+                w
             }
             _ => {
-                self.inner.queues[0].inject(ReadyUnit::Task(task));
-                self.inner.park.notify_near(0);
+                self.inner.queues[0].inject(unit);
+                0
             }
-        }
+        };
+        self.inner.workers.park_group().notify_near(target);
+    }
+
+    /// Enqueue a stackless future task with help-first placement — a
+    /// polled task cannot displace its poller.
+    pub fn post_task(&self, task: Arc<dyn PollTask>) {
+        self.place(ReadyUnit::Task(task));
     }
 
     /// Enqueue a stackless future task on worker `worker`'s queue —
@@ -369,30 +341,7 @@ impl Runtime {
     /// Panics if `worker` is out of range.
     pub fn post_task_to(&self, worker: usize, task: Arc<dyn PollTask>) {
         self.inner.queues[worker].push(ReadyUnit::Task(task));
-        self.inner.park.notify_near(worker);
-    }
-
-    /// A cloneable hook that [`Runtime::post_task`]s into this runtime;
-    /// holds the shared state alive for late wakes.
-    #[must_use]
-    pub fn task_poster(&self) -> TaskResched {
-        let rt = Runtime {
-            inner: self.inner.clone(),
-        };
-        Arc::new(move |t: Arc<dyn PollTask>| rt.post_task(t))
-    }
-
-    /// [`Runtime::task_poster`] pinned to one worker's queue.
-    ///
-    /// # Panics
-    ///
-    /// The returned hook panics if `worker` is out of range.
-    #[must_use]
-    pub fn task_poster_to(&self, worker: usize) -> TaskResched {
-        let rt = Runtime {
-            inner: self.inner.clone(),
-        };
-        Arc::new(move |t: Arc<dyn PollTask>| rt.post_task_to(worker, t))
+        self.inner.workers.park_group().notify_near(worker);
     }
 
     /// Stop all workers and join their OS threads (`myth_fini`).
@@ -400,19 +349,7 @@ impl Runtime {
     /// never be satisfied keeps its queue occupied forever — use
     /// [`Runtime::shutdown_within`] to degrade gracefully instead.
     pub fn shutdown(&self) {
-        if self.inner.shut.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.inner.stop.store(true, Ordering::Release);
-        // A fully parked pool must notice the flag now, not after a
-        // backstop timeout.
-        self.inner.park.unpark_all();
-        let mut threads = self.inner.threads.lock();
-        for t in threads.iter_mut() {
-            if let Some(t) = t.take() {
-                t.join().expect("massivethreads worker panicked");
-            }
-        }
+        self.inner.workers.shutdown();
     }
 
     /// [`Runtime::shutdown`] with a drain deadline: wait up to
@@ -427,66 +364,7 @@ impl Runtime {
     /// [`DrainError`] when the deadline expired with units still
     /// queued or running.
     pub fn shutdown_within(&self, deadline: std::time::Duration) -> Result<(), DrainError> {
-        if self.inner.shut.swap(true, Ordering::AcqRel) {
-            return Ok(());
-        }
-        self.inner.stop.store(true, Ordering::Release);
-        // Wake every sleeper *before* the drain deadline starts: a
-        // fully parked pool drains instantly instead of eating the
-        // deadline in 20–200 ms backstop increments.
-        self.inner.park.unpark_all();
-        let handles: Vec<_> = {
-            let mut threads = self.inner.threads.lock();
-            threads.iter_mut().filter_map(Option::take).collect()
-        };
-        let timed_out = !join_within(&handles, deadline);
-        if timed_out {
-            self.inner.abandon.store(true, Ordering::Release);
-            self.inner.park.unpark_all();
-            // Grace for workers idling between units to notice the flag.
-            join_within(&handles, ABANDON_GRACE);
-        }
-        for t in handles {
-            if t.is_finished() {
-                t.join().expect("massivethreads worker panicked");
-            } else {
-                // Wedged inside a unit: detach rather than hang (never
-                // kill); the thread's Arcs keep its shared state alive.
-                drop(t);
-            }
-        }
-        if timed_out {
-            let stragglers = self
-                .inner
-                .queues
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| !q.is_empty())
-                .map(|(worker, q)| Straggler {
-                    worker,
-                    pending: q.len(),
-                    what: "worker deque",
-                })
-                .collect();
-            Err(DrainError {
-                waited: deadline,
-                stragglers,
-            })
-        } else {
-            Ok(())
-        }
-    }
-}
-
-impl Drop for RtInner {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        self.park.unpark_all();
-        for t in self.threads.lock().iter_mut() {
-            if let Some(t) = t.take() {
-                let _ = t.join();
-            }
-        }
+        self.inner.drain_within(deadline)
     }
 }
 
@@ -500,15 +378,13 @@ impl std::fmt::Debug for Runtime {
 }
 
 /// Where a ULT that becomes runnable again on worker `w` goes.
-struct MythRequeue(Arc<RtInner>);
-
-impl Requeue for MythRequeue {
+impl Requeue for RtInner {
     /// A yielding ULT goes to the *back* of the worker's queue (the
     /// inbox): the owner pops its deque LIFO first, so queued work runs
     /// before the yielder comes round again.
     fn requeue(&self, worker: usize, u: Arc<UltCore>) {
-        self.0.queues[worker].inject(u.into());
-        self.0.park.notify_near(worker);
+        self.queues[worker].inject(u.into());
+        self.workers.park_group().notify_near(worker);
     }
 
     /// A parent displaced by a work-first spawn, or a joiner woken by
@@ -517,97 +393,36 @@ impl Requeue for MythRequeue {
     /// old end meanwhile — the paper's "another thread steals the main
     /// task".
     fn displace(&self, worker: usize, u: Arc<UltCore>) {
-        self.0.queues[worker].push(u.into());
-        self.0.park.notify_near(worker);
+        self.queues[worker].push(u.into());
+        self.workers.park_group().notify_near(worker);
     }
 }
 
-fn worker_main(inner: &Arc<RtInner>, w: usize) {
-    let _guard = enter_worker(w, Arc::new(MythRequeue(inner.clone())));
-    inner.queues[w].bind();
-    // The thread is this worker for the rest of its life.
-    WORKER_OF.with(|c| c.set(Arc::as_ptr(inner) as usize));
-    let victims = RandomVictim::new(inner.queues.len(), 0x9E3779B9 ^ (w as u64) << 17 | 1);
-    let mut backoff = lwt_sync::Backoff::new();
-    // Timestamp of the moment this worker ran dry; 0 while it has
-    // work. Feeds the steal-loop dwell histogram on the next acquire.
-    let mut idle_since_ns: u64 = 0;
-    let heartbeat = lwt_chaos::register_worker("massivethreads", w);
-    loop {
-        heartbeat.beat();
-        if inner.abandon.load(Ordering::Acquire) {
-            break;
-        }
-        // Own queue first (depth-first), then random stealing.
-        let unit = inner.queues[w].pop().or_else(|| {
-            lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Steal);
-            let v = victims.pick(w);
-            if v == w {
-                None
-            } else {
-                COUNTERS.steal_attempts.inc();
-                emit(EventKind::StealAttempt, v as u64);
-                let stolen = inner.queues[v].steal();
-                if stolen.is_some() {
-                    COUNTERS.steal_hits.inc();
-                    emit(EventKind::StealHit, v as u64);
-                }
-                stolen
-            }
-        });
-        match unit {
-            Some(u) => {
-                if idle_since_ns != 0 {
-                    STEAL_DWELL.record(clock::now_ns().saturating_sub(idle_since_ns));
-                    idle_since_ns = 0;
-                }
-                if lwt_chaos::should_inject(lwt_chaos::FaultSite::YieldPoint) {
-                    std::thread::yield_now();
-                }
-                backoff.reset();
-                run_unit(&u);
-            }
-            None => {
-                if idle_since_ns == 0 {
-                    idle_since_ns = clock::now_ns();
-                }
-                if inner.stop.load(Ordering::Acquire) {
-                    break;
-                }
-                lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Idle);
-                // Reactor idle hook: collect I/O readiness (wakes
-                // repost through this runtime) before backing off.
-                if lwt_sched::io_poll() > 0 {
-                    backoff.reset();
-                    continue;
-                }
-                backoff.spin();
-                if backoff.is_saturated() {
-                    // Random probing came up dry long enough: sleep
-                    // instead of burning the core. The re-check counts
-                    // every reachable unit (own queue in full, victims'
-                    // deques only), so a loaded victim the random picks
-                    // kept missing aborts the park — and the reset
-                    // below sends us back to probing for it.
-                    let res = inner.park.park(w, Some(&heartbeat), || {
-                        inner.queues[w].len()
-                            + near_first(w, inner.queues.len())
-                                .map(|v| inner.queues[v].stealable_len())
-                                .sum::<usize>()
-                    });
-                    if matches!(res, ParkResult::FoundWork | ParkResult::Woken) {
-                        backoff.reset();
-                    }
-                }
-            }
-        }
+impl ReadyPolicy for RtInner {
+    const STRAGGLER: &'static str = "worker deque";
+
+    fn queues(&self) -> &[ReadyQueue<ReadyUnit>] {
+        &self.queues
+    }
+
+    fn workers(&self) -> &Workers {
+        &self.workers
+    }
+
+    /// Own queue first (depth-first), then one random victim per dry
+    /// pop. A loaded victim the random picks keep missing still aborts
+    /// the park: the re-check counts every other worker's deque.
+    fn victims(&self, me: usize) -> Victims {
+        let seed = (0x9E37_79B9 ^ ((me as u64) << 17)) | 1;
+        Victims::Random(RandomVictim::new(self.queues.len(), seed))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use lwt_sync::SpinLock;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn rt(workers: usize, policy: Policy) -> Runtime {
         Runtime::init(Config {

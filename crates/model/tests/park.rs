@@ -1,7 +1,8 @@
-//! Model-checked parking: the *real* `ParkGroup` wake-one protocol and
+//! Model-checked parking: the *real* `ParkGroup` wake-one protocol,
 //! the `Parker` token machine (routed through the crates' `sysapi`
-//! facades onto the `lwt-model` shims) explored under the deterministic
-//! scheduler.
+//! facades onto the `lwt-model` shims), and the worker kernel's idle
+//! step that every backend parks through, explored under the
+//! deterministic scheduler.
 //!
 //! Under `--cfg lwt_model`, `ParkGroup::park` sleeps with **no backstop
 //! timeout** (see `crates/sched/src/park.rs`): a lost wake is a
@@ -19,7 +20,8 @@ use lwt_model::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use lwt_model::thread;
 use lwt_model::Checker;
 use lwt_sched::{force_wait_policy, ParkGroup, ParkResult, WaitPolicy};
-use lwt_sync::Parker;
+use lwt_sync::{Backoff, Parker};
+use lwt_ultcore::kernel::Workers;
 
 fn quick() -> Checker {
     Checker::new().max_executions(400_000).time_budget_ms(45_000)
@@ -110,5 +112,41 @@ fn one_push_one_notify_feeds_a_fully_parked_pair() {
         for t in workers {
             t.join();
         }
+    });
+}
+
+/// The idler side of DESIGN §12 lives in one function,
+/// `kernel::Crew::idle`, which every backend's loop calls on a dry
+/// sweep. Run that function — backoff, reactor poll and park included —
+/// against a producer that pushes then notifies: in every interleaving
+/// the idler either runs the unit (its sweep or the park's re-check saw
+/// the push) or is woken by the notify. A lost wake is a livelock here,
+/// since the model-build park has no backstop.
+#[test]
+fn kernel_idle_step_runs_the_unit_or_aborts_the_park() {
+    force_wait_policy(WaitPolicy::Passive);
+    quick().check(|| {
+        let workers = Workers::new(1, "model");
+        let crew = Arc::clone(workers.crew());
+        let work = Arc::new(AtomicUsize::new(0));
+        // Start saturated, so the first dry sweep goes straight to the
+        // park: spin hints are schedule points, and while the backoff
+        // still spins the producer always gets to run before the park.
+        let mut backoff = Backoff::new();
+        while !backoff.is_saturated() {
+            backoff.spin();
+        }
+        let (c2, w2) = (Arc::clone(&crew), Arc::clone(&work));
+        let producer = thread::spawn(move || {
+            w2.store(1, Ordering::SeqCst);
+            c2.park.notify_near(0);
+        });
+        // The worker loop: sweep, and on a dry sweep take one idle step.
+        while work.swap(0, Ordering::SeqCst) == 0 {
+            let go_on = crew.idle(0, &mut backoff, None, || work.load(Ordering::SeqCst));
+            assert!(go_on, "nobody stopped the pool");
+        }
+        producer.join();
+        assert_eq!(crew.park.idle_workers(), 0, "exited worker still announced");
     });
 }

@@ -42,17 +42,16 @@ pub mod qutil;
 pub mod structures;
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use lwt_fiber::StackSize;
 use lwt_metrics::registry::{emit, COUNTERS};
 use lwt_metrics::EventKind;
-use lwt_sched::{ParkGroup, ReadyQueue, RoundRobin};
-use lwt_sync::{FebCell, FebTable, SpinLock};
+use lwt_sched::{ReadyQueue, RoundRobin};
+use lwt_sync::{FebCell, FebTable};
+use lwt_ultcore::kernel::{self, ReadyPolicy, Victims, Workers};
 use lwt_ultcore::{
-    enter_worker, join_within, run_unit, wait_until, DrainError, PollTask, ReadyUnit, Requeue,
-    ResultCell, Straggler, TaskResched, UltCore, ABANDON_GRACE,
+    relax, wait_until, DrainError, PollTask, ReadyUnit, Requeue, ResultCell, UltCore,
 };
 
 pub use lwt_sync::FebTable as Feb;
@@ -90,20 +89,14 @@ struct RtInner {
     shepherd_rr: Vec<RoundRobin>,
     /// Global worker id → shepherd id.
     worker_shepherd: Vec<usize>,
-    /// Idle-worker parking (wake-one). Notifies pass the target worker
-    /// as the scan hint: stealing is shepherd-scoped, and worker ids
-    /// are laid out shepherd-major, so the nearest announced sleeper is
-    /// one that can actually reach the work.
-    park: ParkGroup,
-    threads: SpinLock<Vec<Option<std::thread::JoinHandle<()>>>>,
-    stop: AtomicBool,
-    /// Bounded-drain escape hatch: workers exit even with (wedged)
-    /// units still queued once a `shutdown_within` deadline expires.
-    abandon: AtomicBool,
+    /// The worker threads. Notifies pass the target worker as the
+    /// park group's scan hint: stealing is shepherd-scoped, and worker
+    /// ids are laid out shepherd-major, so the nearest announced
+    /// sleeper is one that can actually reach the work.
+    workers: Workers,
     rr: RoundRobin,
     stack_size: StackSize,
     feb: FebTable,
-    shut: AtomicBool,
 }
 
 /// The Qthreads-model runtime. Cheap to clone.
@@ -178,18 +171,6 @@ impl<T> std::fmt::Debug for Handle<T> {
     }
 }
 
-/// Relax strategy for FEB waits: yield the ULT when inside one.
-fn relax() -> impl FnMut() {
-    let inside = in_ult();
-    let mut escalate = lwt_sync::AdaptiveRelax::new();
-    move || {
-        if inside {
-            yield_now();
-        }
-        escalate.relax();
-    }
-}
-
 impl Runtime {
     /// Initialize shepherds and workers (`qthread_initialize`).
     ///
@@ -214,30 +195,20 @@ impl Runtime {
             shepherd_rr: (0..config.num_shepherds)
                 .map(|_| RoundRobin::new(config.workers_per_shepherd))
                 .collect(),
-            park: ParkGroup::new(worker_shepherd.len()),
+            workers: Workers::new(worker_shepherd.len(), "qthreads"),
             worker_shepherd,
-            threads: SpinLock::new(Vec::new()),
-            stop: AtomicBool::new(false),
-            abandon: AtomicBool::new(false),
             rr: RoundRobin::new(config.num_shepherds),
             stack_size: config.stack_size,
             feb: FebTable::default(),
-            shut: AtomicBool::new(false),
         });
-        let rt = Runtime { inner };
-        let mut threads = rt.inner.threads.lock();
-        for (worker_id, &shep) in rt.inner.worker_shepherd.iter().enumerate() {
-            let inner = rt.inner.clone();
-            COUNTERS.os_threads_spawned.inc();
-            threads.push(Some(
-                std::thread::Builder::new()
-                    .name(format!("qth-s{shep}-w{worker_id}"))
-                    .spawn(move || worker_main(&inner, worker_id, shep))
-                    .expect("spawn qthreads worker"),
-            ));
+        for (worker_id, &shep) in inner.worker_shepherd.iter().enumerate() {
+            let rt = inner.clone();
+            let name = format!("qth-s{shep}-w{worker_id}");
+            inner
+                .workers
+                .spawn(name, move || kernel::run(&rt, worker_id));
         }
-        drop(threads);
-        rt
+        Runtime { inner }
     }
 
     /// [`Runtime::init`] with defaults (one shepherd per CPU, one
@@ -274,10 +245,7 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let shep = current_worker()
-            .and_then(|w| self.inner.worker_shepherd.get(w).copied())
-            .unwrap_or(0);
-        self.fork_to(shep, f)
+        self.fork_to(self.caller_shepherd().unwrap_or(0), f)
     }
 
     /// Fork round-robin over shepherds — the `qthread_fork_to`
@@ -320,22 +288,31 @@ impl Runtime {
         });
         // `arg` = target shepherd: the fork_to dispatch decision.
         emit(EventKind::UltSpawn, shepherd as u64);
-        // A fork from a worker already inside the target shepherd lands
-        // on that worker's own deque (zero-contention fast path);
-        // everything else is injected round-robin over the shepherd's
-        // workers.
-        let target = match current_worker() {
-            Some(w) if self.inner.worker_shepherd.get(w) == Some(&shepherd) => w,
-            _ => {
-                let workers = &self.inner.shepherd_workers[shepherd];
-                workers[self.inner.shepherd_rr[shepherd].next()]
-            }
-        };
-        self.inner.queues[target].push(ult.clone().into());
-        // Push first, then wake at most one sleeper near the target
-        // (see ParkGroup docs for why this order prevents lost wakes).
-        self.inner.park.notify_near(target);
+        self.place(self.pick(shepherd), ult.clone().into());
         Handle { ult, result, ret }
+    }
+
+    /// The shepherd of the worker running the caller, if any.
+    fn caller_shepherd(&self) -> Option<usize> {
+        current_worker().and_then(|w| self.inner.worker_shepherd.get(w).copied())
+    }
+
+    /// The worker a unit placed into `shepherd` lands on: the caller's
+    /// own when it already runs inside that shepherd (its deque, the
+    /// zero-contention fast path), else the shepherd's workers
+    /// round-robin (through their inboxes).
+    fn pick(&self, shepherd: usize) -> usize {
+        match current_worker() {
+            Some(w) if self.inner.worker_shepherd.get(w) == Some(&shepherd) => w,
+            _ => self.inner.shepherd_workers[shepherd][self.inner.shepherd_rr[shepherd].next()],
+        }
+    }
+
+    /// Push first, then wake at most one sleeper near the target (see
+    /// ParkGroup docs for why this order prevents lost wakes).
+    fn place(&self, worker: usize, unit: ReadyUnit) {
+        self.inner.queues[worker].push(unit);
+        self.inner.workers.park_group().notify_near(worker);
     }
 
     /// Enqueue a stackless poll task, reusing `qthread_fork`'s
@@ -343,15 +320,10 @@ impl Runtime {
     /// (zero-contention fast path), otherwise round-robin over the
     /// shepherds like an external fork.
     pub fn post_task(&self, task: Arc<dyn PollTask>) {
-        let target = match current_worker() {
-            Some(w) if w < self.inner.queues.len() => w,
-            _ => {
-                let shepherd = self.inner.rr.next();
-                let workers = &self.inner.shepherd_workers[shepherd];
-                workers[self.inner.shepherd_rr[shepherd].next()]
-            }
-        };
-        self.post_task_to(target, task);
+        let shepherd = self
+            .caller_shepherd()
+            .unwrap_or_else(|| self.inner.rr.next());
+        self.place(self.pick(shepherd), ReadyUnit::Task(task));
     }
 
     /// Enqueue a stackless poll task onto a specific *worker's* queue
@@ -362,23 +334,7 @@ impl Runtime {
     ///
     /// Panics if `worker` is out of range.
     pub fn post_task_to(&self, worker: usize, task: Arc<dyn PollTask>) {
-        self.inner.queues[worker].push(ReadyUnit::Task(task));
-        self.inner.park.notify_near(worker);
-    }
-
-    /// A reschedule hook posting via [`Runtime::post_task`]; holds the
-    /// runtime alive so late wakes (after user drop) still land.
-    #[must_use]
-    pub fn task_poster(&self) -> TaskResched {
-        let rt = self.clone();
-        Arc::new(move |t| rt.post_task(t))
-    }
-
-    /// A reschedule hook pinning every (re)schedule to `worker`.
-    #[must_use]
-    pub fn task_poster_to(&self, worker: usize) -> TaskResched {
-        let rt = self.clone();
-        Arc::new(move |t| rt.post_task_to(worker, t))
+        self.place(worker, ReadyUnit::Task(task));
     }
 
     /// Parallel for over `range` (`qt_loop`): one work unit per worker,
@@ -459,19 +415,7 @@ impl Runtime {
     /// never-filled FEB keeps its queue occupied forever — use
     /// [`Runtime::shutdown_within`] to degrade gracefully instead.
     pub fn shutdown(&self) {
-        if self.inner.shut.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.inner.stop.store(true, Ordering::Release);
-        // A fully parked pool must notice the flag now, not after a
-        // backstop timeout.
-        self.inner.park.unpark_all();
-        let mut threads = self.inner.threads.lock();
-        for t in threads.iter_mut() {
-            if let Some(t) = t.take() {
-                t.join().expect("qthreads worker panicked");
-            }
-        }
+        self.inner.workers.shutdown();
     }
 
     /// [`Runtime::shutdown`] with a drain deadline: wait up to
@@ -486,66 +430,7 @@ impl Runtime {
     /// [`DrainError`] when the deadline expired with units still
     /// queued or running.
     pub fn shutdown_within(&self, deadline: std::time::Duration) -> Result<(), DrainError> {
-        if self.inner.shut.swap(true, Ordering::AcqRel) {
-            return Ok(());
-        }
-        self.inner.stop.store(true, Ordering::Release);
-        // Wake every sleeper *before* the drain deadline starts: a
-        // fully parked pool drains instantly instead of eating the
-        // deadline in 20–200 ms backstop increments.
-        self.inner.park.unpark_all();
-        let handles: Vec<_> = {
-            let mut threads = self.inner.threads.lock();
-            threads.iter_mut().filter_map(Option::take).collect()
-        };
-        let timed_out = !join_within(&handles, deadline);
-        if timed_out {
-            self.inner.abandon.store(true, Ordering::Release);
-            self.inner.park.unpark_all();
-            // Grace for workers idling between units to notice the flag.
-            join_within(&handles, ABANDON_GRACE);
-        }
-        for t in handles {
-            if t.is_finished() {
-                t.join().expect("qthreads worker panicked");
-            } else {
-                // Wedged inside a unit: detach rather than hang (never
-                // kill); the thread's Arcs keep its shared state alive.
-                drop(t);
-            }
-        }
-        if timed_out {
-            let stragglers = self
-                .inner
-                .queues
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| !q.is_empty())
-                .map(|(worker, q)| Straggler {
-                    worker,
-                    pending: q.len(),
-                    what: "shepherd ready queue",
-                })
-                .collect();
-            Err(DrainError {
-                waited: deadline,
-                stragglers,
-            })
-        } else {
-            Ok(())
-        }
-    }
-}
-
-impl Drop for RtInner {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        self.park.unpark_all();
-        for t in self.threads.lock().iter_mut() {
-            if let Some(t) = t.take() {
-                let _ = t.join();
-            }
-        }
+        self.inner.drain_within(deadline)
     }
 }
 
@@ -558,87 +443,39 @@ impl std::fmt::Debug for Runtime {
     }
 }
 
-fn worker_main(inner: &Arc<RtInner>, worker_id: usize, shep: usize) {
-    let requeue: Arc<dyn Requeue> = {
-        let q = inner.clone();
-        // Yielded ULTs go to the *back* of their worker's queue (the
-        // inbox) so forked children run before a yield-looping joiner.
-        Arc::new(move |w: usize, u: Arc<UltCore>| {
-            q.queues[w].inject(u.into());
-            q.park.notify_near(w);
-        })
-    };
-    let _guard = enter_worker(worker_id, requeue);
-    inner.queues[worker_id].bind();
-    // Stealing stays within the shepherd: work never leaves its
-    // locality domain (the hierarchy the paper's Table I highlights).
-    let siblings: Vec<usize> = inner.shepherd_workers[shep]
-        .iter()
-        .copied()
-        .filter(|&w| w != worker_id)
-        .collect();
-    let mut backoff = lwt_sync::Backoff::new();
-    let heartbeat = lwt_chaos::register_worker("qthreads", worker_id);
-    loop {
-        heartbeat.beat();
-        if inner.abandon.load(Ordering::Acquire) {
-            break;
-        }
-        let unit = inner.queues[worker_id].pop().or_else(|| {
-            lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Steal);
-            for &v in &siblings {
-                COUNTERS.steal_attempts.inc();
-                if let Some(u) = inner.queues[v].steal() {
-                    COUNTERS.steal_hits.inc();
-                    emit(EventKind::StealHit, v as u64);
-                    return Some(u);
-                }
-            }
-            None
-        });
-        match unit {
-            Some(u) => {
-                if lwt_chaos::should_inject(lwt_chaos::FaultSite::YieldPoint) {
-                    std::thread::yield_now();
-                }
-                backoff.reset();
-                run_unit(&u);
-            }
-            None => {
-                if inner.stop.load(Ordering::Acquire) {
-                    break;
-                }
-                lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Idle);
-                // Reactor idle hook: collect I/O readiness (wakes
-                // repost through this runtime) before backing off.
-                if lwt_sched::io_poll() > 0 {
-                    backoff.reset();
-                    continue;
-                }
-                backoff.spin();
-                if backoff.is_saturated() {
-                    // The sibling sweep proved the shepherd dry: sleep
-                    // instead of burning the core. The re-check only
-                    // counts work this worker can reach — its own
-                    // queue plus sibling deques; other shepherds'
-                    // queues are invisible by design.
-                    let _ = inner.park.park(worker_id, Some(&heartbeat), || {
-                        inner.queues[worker_id].len()
-                            + siblings
-                                .iter()
-                                .map(|&v| inner.queues[v].stealable_len())
-                                .sum::<usize>()
-                    });
-                }
-            }
-        }
+/// Yielded ULTs go to the *back* of their worker's queue (the inbox)
+/// so forked children run before a yield-looping joiner.
+impl Requeue for RtInner {
+    fn requeue(&self, worker: usize, ult: Arc<UltCore>) {
+        self.queues[worker].inject(ult.into());
+        self.workers.park_group().notify_near(worker);
+    }
+}
+
+impl ReadyPolicy for RtInner {
+    const STRAGGLER: &'static str = "shepherd ready queue";
+
+    fn queues(&self) -> &[ReadyQueue<ReadyUnit>] {
+        &self.queues
+    }
+
+    fn workers(&self) -> &Workers {
+        &self.workers
+    }
+
+    /// Stealing stays within the shepherd: work never leaves its
+    /// locality domain (the hierarchy the paper's Table I highlights),
+    /// and other shepherds' queues are invisible to the park re-check.
+    fn victims(&self, me: usize) -> Victims {
+        let siblings = &self.shepherd_workers[self.worker_shepherd[me]];
+        Victims::List(siblings.iter().copied().filter(|&w| w != me).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn rt(sheps: usize, wps: usize) -> Runtime {
         Runtime::init(Config {

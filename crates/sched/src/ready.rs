@@ -135,32 +135,50 @@ impl<T: Send> ReadyQueue<T> {
     /// inbox when the deque is dry. Non-owner callers degrade to
     /// [`Self::steal`].
     pub fn pop(&self) -> Option<T> {
+        self.pop_exposing().0
+    }
+
+    /// [`Self::pop`], also reporting whether the pop moved inbox items
+    /// into the deque. Those items just became stealable without any
+    /// push announcing them, so a scheduler should wake a sleeping
+    /// thief when this is `true`.
+    pub fn pop_exposing(&self) -> (Option<T>, bool) {
         if !self.is_owner() {
-            return self.steal();
+            return (self.steal(), false);
         }
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
         if tick % FAIRNESS == FAIRNESS - 1 {
-            if let Some(v) = self.take_inbox() {
-                return Some(v);
+            if let Some((v, moved)) = self.take_inbox() {
+                return (Some(v), moved);
             }
             if let Steal::Success(v) = self.mirror.steal_once() {
-                return Some(v);
+                return (Some(v), false);
             }
         }
-        self.local.pop().or_else(|| self.take_inbox())
+        match self.local.pop() {
+            Some(v) => (Some(v), false),
+            None => self
+                .take_inbox()
+                .map_or((None, false), |(v, moved)| (Some(v), moved)),
+        }
     }
 
     /// Pop one inbox item and expose a batch of follow-ons to thieves
-    /// by moving them into the deque. Owner-only.
-    fn take_inbox(&self) -> Option<T> {
+    /// by moving them into the deque; the flag says whether any moved.
+    /// Owner-only.
+    fn take_inbox(&self) -> Option<(T, bool)> {
         let first = self.inbox.pop()?;
+        let mut moved = false;
         for _ in 0..INBOX_BATCH {
             match self.inbox.pop() {
-                Some(v) => self.local.push(v),
+                Some(v) => {
+                    self.local.push(v);
+                    moved = true;
+                }
                 None => break,
             }
         }
-        Some(first)
+        Some((first, moved))
     }
 
     /// One steal probe against the deque's old end. `Retry` (a lost
@@ -320,9 +338,8 @@ mod tests {
             q.inject(i);
         }
         // Owner takes one; the batch move must park follow-ons in the
-        // deque where a thief can reach them.
-        let first = q.pop().unwrap();
-        assert_eq!(first, 0);
+        // deque where a thief can reach them, and say so.
+        assert_eq!(q.pop_exposing(), (Some(0), true));
         let thief = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || q.steal())

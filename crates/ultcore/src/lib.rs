@@ -17,9 +17,14 @@
 //!   ready queues as ULTs, with a hand-rolled waker vtable.
 //! * [`blocking`] — the `spawn_blocking` OS-thread pool, so blocking
 //!   syscalls never wedge a scheduler worker.
+//! * [`kernel`] — the worker kernel all five backends share: the
+//!   thread lifecycle and bounded drain ([`kernel::Workers`]), the one
+//!   idle step ([`kernel::Crew::idle`]), and the ready-queue worker
+//!   loop ([`kernel::run`]) that Go, Qthreads and MassiveThreads
+//!   parameterise with their victim set and requeue side.
 //!
-//! The Argobots-model crate (`lwt-argobots`) keeps its own copy of this
-//! machinery because its semantics are richer (two work-unit types,
+//! The Argobots-model crate (`lwt-argobots`) keeps its own copy of the
+//! ULT machinery because its semantics are richer (two work-unit types,
 //! `yield_to`, stackable schedulers); the four simpler runtimes share
 //! this one.
 //!
@@ -40,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod blocking;
+pub mod kernel;
 pub mod task;
 
 pub use blocking::BlockingPoolError;
@@ -79,12 +85,6 @@ pub trait Requeue: Send + Sync + 'static {
     /// owner-deque push, so the continuation is stealable.
     fn displace(&self, worker: usize, ult: Arc<UltCore>) {
         self.requeue(worker, ult);
-    }
-}
-
-impl<F: Fn(usize, Arc<UltCore>) + Send + Sync + 'static> Requeue for F {
-    fn requeue(&self, worker: usize, ult: Arc<UltCore>) {
-        self(worker, ult);
     }
 }
 
@@ -592,6 +592,13 @@ pub fn current_worker() -> Option<usize> {
 /// a join on a unit that never completes lands in the blocked-unit
 /// table instead of spinning invisibly.
 pub fn wait_until(cond: impl Fn() -> bool) {
+    wait_until_with(cond, in_ult, yield_now);
+}
+
+/// [`wait_until`] for a runtime with its own ULT layer (Argobots):
+/// `inside` tells whether the caller is one of its ULTs, `yield_unit`
+/// yields it.
+pub fn wait_until_with(cond: impl Fn() -> bool, inside: fn() -> bool, yield_unit: fn()) {
     if cond() {
         return;
     }
@@ -599,14 +606,14 @@ pub fn wait_until(cond: impl Fn() -> bool) {
         lwt_chaos::BlockKind::Join,
         std::ptr::from_ref(&cond) as u64,
     );
-    if in_ult() {
+    if inside() {
         // Yield the ULT so the worker can run other units; if the wait
         // drags on (the awaited unit lives on an OS thread that is not
         // getting scheduled), escalate to napping so this worker stops
         // monopolizing the core (see lwt_sync::AdaptiveRelax).
         let mut relax = lwt_sync::AdaptiveRelax::new();
         while !cond() {
-            yield_now();
+            yield_unit();
             if cond() {
                 break;
             }
@@ -620,33 +627,23 @@ pub fn wait_until(cond: impl Fn() -> bool) {
     }
 }
 
-/// Grace period granted after a drain deadline expires, between
-/// raising the backend's `abandon` flag and detaching workers that
-/// still have not exited: long enough for a worker parked between
-/// units to notice the flag, short enough that a worker wedged
-/// *inside* a unit cannot stall `shutdown_within` indefinitely.
-pub const ABANDON_GRACE: std::time::Duration = std::time::Duration::from_millis(500);
+/// The relax step for spin-waits that may run inside a ULT (FEB reads,
+/// channel operations): yield the ULT when the caller is one, then
+/// escalate spin → yield → sleep ([`lwt_sync::AdaptiveRelax`]).
+pub fn relax() -> impl FnMut() {
+    relax_with(in_ult, yield_now)
+}
 
-/// Poll `handles` until every thread has finished or `deadline`
-/// elapses; `true` iff all finished in time. The building block of the
-/// backends' `shutdown_within`: the threads are *not* joined (callers
-/// join afterwards, possibly after ordering their loops to abandon).
-pub fn join_within(
-    handles: &[std::thread::JoinHandle<()>],
-    deadline: std::time::Duration,
-) -> bool {
-    let until = std::time::Instant::now() + deadline;
-    let watch = lwt_chaos::block_enter(lwt_chaos::BlockKind::Finalize, handles.len() as u64);
-    loop {
-        if handles.iter().all(std::thread::JoinHandle::is_finished) {
-            drop(watch);
-            return true;
+/// [`relax`] for a runtime with its own ULT layer; see
+/// [`wait_until_with`].
+pub fn relax_with(inside: fn() -> bool, yield_unit: fn()) -> impl FnMut() {
+    let inside = inside();
+    let mut escalate = lwt_sync::AdaptiveRelax::new();
+    move || {
+        if inside {
+            yield_unit();
         }
-        if std::time::Instant::now() >= until {
-            drop(watch);
-            return false;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
+        escalate.relax();
     }
 }
 
@@ -810,82 +807,78 @@ impl<T> ResultCell<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kernel::{ReadyPolicy, Victims, Workers};
     use lwt_sched::ReadyQueue;
     use std::sync::atomic::{AtomicBool, AtomicUsize};
 
-    /// Minimal runtime over the core: one [`ReadyQueue`] per worker,
-    /// round-robin external injection, work stealing between workers.
-    struct MiniRt {
-        queues: Arc<Vec<ReadyQueue<Arc<UltCore>>>>,
+    /// Minimal runtime over the worker kernel: one [`ReadyQueue`] per
+    /// worker, round-robin external injection, work stealing between
+    /// workers.
+    pub(super) struct Mini {
+        queues: Vec<ReadyQueue<ReadyUnit>>,
+        workers: Workers,
         next: AtomicUsize,
-        stop: Arc<AtomicBool>,
-        workers: Vec<std::thread::JoinHandle<()>>,
     }
 
-    impl MiniRt {
-        fn new(nworkers: usize) -> Self {
-            let queues: Arc<Vec<ReadyQueue<Arc<UltCore>>>> =
-                Arc::new((0..nworkers).map(|_| ReadyQueue::new()).collect());
-            let stop = Arc::new(AtomicBool::new(false));
-            let workers = (0..nworkers)
-                .map(|id| {
-                    let queues = queues.clone();
-                    let stop = stop.clone();
-                    std::thread::spawn(move || {
-                        queues[id].bind();
-                        let rq = queues.clone();
-                        let requeue: Arc<dyn Requeue> =
-                            Arc::new(move |w: usize, u: Arc<UltCore>| {
-                                rq[w].push(u);
-                            });
-                        let _guard = enter_worker(id, requeue);
-                        loop {
-                            let next = queues[id].pop().or_else(|| {
-                                (0..queues.len())
-                                    .filter(|&v| v != id)
-                                    .find_map(|v| queues[v].steal())
-                            });
-                            match next {
-                                Some(u) => {
-                                    run_ult(&u);
-                                }
-                                None => {
-                                    if stop.load(Ordering::Acquire) {
-                                        break;
-                                    }
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-            MiniRt {
-                queues,
+    impl Requeue for Mini {
+        fn requeue(&self, worker: usize, ult: Arc<UltCore>) {
+            self.queues[worker].push(ult.into());
+            self.workers.park_group().notify_near(worker);
+        }
+    }
+
+    impl ReadyPolicy for Mini {
+        const STRAGGLER: &'static str = "mini queue";
+        fn queues(&self) -> &[ReadyQueue<ReadyUnit>] {
+            &self.queues
+        }
+        fn workers(&self) -> &Workers {
+            &self.workers
+        }
+        fn victims(&self, _: usize) -> Victims {
+            Victims::NearFirst
+        }
+    }
+
+    impl Mini {
+        pub(super) fn start(nworkers: usize) -> Arc<Self> {
+            let rt = Arc::new(Mini {
+                queues: (0..nworkers).map(|_| ReadyQueue::new()).collect(),
+                workers: Workers::new(nworkers, "mini"),
                 next: AtomicUsize::new(0),
-                stop,
-                workers,
+            });
+            for id in 0..nworkers {
+                let worker = rt.clone();
+                rt.workers
+                    .spawn(format!("mini-{id}"), move || kernel::run(&worker, id));
             }
+            rt
         }
 
-        fn spawn(&self, f: impl FnOnce() + Send + 'static) -> Arc<UltCore> {
-            let u = UltCore::new(StackSize(32 * 1024), f);
+        fn inject(&self, u: Arc<UltCore>) {
             let target = self.next.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-            self.queues[target].inject(u.clone());
+            self.queues[target].inject(u.into());
+            self.workers.park_group().notify_near(target);
+        }
+
+        pub(super) fn spawn(&self, f: impl FnOnce() + Send + 'static) -> Arc<UltCore> {
+            let u = UltCore::new(StackSize(32 * 1024), f);
+            self.inject(u.clone());
             u
         }
 
-        fn shutdown(mut self) {
-            self.stop.store(true, Ordering::Release);
-            for w in self.workers.drain(..) {
-                w.join().unwrap();
-            }
+        pub(super) fn awaken(&self, u: &Arc<UltCore>) -> bool {
+            awaken(u, |u| self.inject(u))
+        }
+
+        pub(super) fn shutdown(&self) {
+            self.workers.shutdown();
         }
     }
 
     #[test]
     fn ults_run_and_terminate() {
-        let rt = MiniRt::new(2);
+        let rt = Mini::start(2);
         let hits = Arc::new(AtomicUsize::new(0));
         let ults: Vec<_> = (0..100)
             .map(|_| {
@@ -904,7 +897,7 @@ mod tests {
 
     #[test]
     fn yield_interleaves_and_migrates() {
-        let rt = MiniRt::new(2);
+        let rt = Mini::start(2);
         let u = rt.spawn(|| {
             for _ in 0..10 {
                 assert!(in_ult());
@@ -918,7 +911,7 @@ mod tests {
 
     #[test]
     fn result_cell_round_trip() {
-        let rt = MiniRt::new(1);
+        let rt = Mini::start(1);
         let cell = ResultCell::new();
         let c2 = cell.clone();
         let u = rt.spawn(move || {
@@ -933,7 +926,7 @@ mod tests {
 
     #[test]
     fn panic_is_captured_not_fatal() {
-        let rt = MiniRt::new(1);
+        let rt = Mini::start(1);
         let u = rt.spawn(|| panic!("inside ULT"));
         wait_until(|| u.is_terminated());
         let p = u.take_panic().expect("panic captured");
@@ -943,7 +936,7 @@ mod tests {
 
     #[test]
     fn stale_hints_are_skipped() {
-        let rt = MiniRt::new(1);
+        let rt = Mini::start(1);
         let u = rt.spawn(|| {});
         wait_until(|| u.is_terminated());
         // The unit already ran; a duplicate hint must not re-execute.
@@ -978,85 +971,13 @@ mod tests {
 
 #[cfg(test)]
 mod suspend_tests {
+    use super::tests::Mini;
     use super::*;
-    use lwt_sched::ReadyQueue;
-    use std::sync::atomic::{AtomicBool, AtomicUsize};
-
-    /// The [`ReadyQueue`] runtime reused from the main tests, with
-    /// awaken support.
-    struct MiniRt {
-        queues: Arc<Vec<ReadyQueue<Arc<UltCore>>>>,
-        stop: Arc<AtomicBool>,
-        workers: Vec<std::thread::JoinHandle<()>>,
-    }
-
-    impl MiniRt {
-        fn new(nworkers: usize) -> Self {
-            let queues: Arc<Vec<ReadyQueue<Arc<UltCore>>>> =
-                Arc::new((0..nworkers).map(|_| ReadyQueue::new()).collect());
-            let stop = Arc::new(AtomicBool::new(false));
-            let workers = (0..nworkers)
-                .map(|id| {
-                    let queues = queues.clone();
-                    let stop = stop.clone();
-                    std::thread::spawn(move || {
-                        queues[id].bind();
-                        let rq = queues.clone();
-                        let requeue: Arc<dyn Requeue> =
-                            Arc::new(move |w: usize, u: Arc<UltCore>| {
-                                rq[w].push(u);
-                            });
-                        let _guard = enter_worker(id, requeue);
-                        loop {
-                            let next = queues[id].pop().or_else(|| {
-                                (0..queues.len())
-                                    .filter(|&v| v != id)
-                                    .find_map(|v| queues[v].steal())
-                            });
-                            match next {
-                                Some(u) => {
-                                    run_ult(&u);
-                                }
-                                None => {
-                                    if stop.load(Ordering::Acquire) {
-                                        break;
-                                    }
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-            MiniRt {
-                queues,
-                stop,
-                workers,
-            }
-        }
-
-        fn spawn(&self, f: impl FnOnce() + Send + 'static) -> Arc<UltCore> {
-            let u = UltCore::new(lwt_fiber::StackSize(32 * 1024), f);
-            self.queues[0].inject(u.clone());
-            u
-        }
-
-        fn awaken(&self, u: &Arc<UltCore>) -> bool {
-            let q = self.queues.clone();
-            awaken(u, move |u| q[0].inject(u))
-        }
-
-        fn shutdown(mut self) {
-            self.stop.store(true, Ordering::Release);
-            for w in self.workers.drain(..) {
-                w.join().unwrap();
-            }
-        }
-    }
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn suspend_then_awaken_resumes() {
-        let rt = MiniRt::new(1);
+        let rt = Mini::start(1);
         let progress = Arc::new(AtomicUsize::new(0));
         let p = progress.clone();
         let u = rt.spawn(move || {
@@ -1082,7 +1003,7 @@ mod suspend_tests {
         // Hammer the park/wake race: the awakener fires as fast as it
         // can while the ULT suspends repeatedly.
         const ROUNDS: usize = 200;
-        let rt = MiniRt::new(1);
+        let rt = Mini::start(1);
         let hits = Arc::new(AtomicUsize::new(0));
         let h = hits.clone();
         let u = rt.spawn(move || {
@@ -1118,7 +1039,7 @@ mod suspend_tests {
 
     #[test]
     fn awaken_ready_unit_is_noop() {
-        let rt = MiniRt::new(1);
+        let rt = Mini::start(1);
         // Never-scheduled unit is READY: awaken must refuse.
         let u = UltCore::new(lwt_fiber::StackSize(16 * 1024), || ());
         assert!(!rt.awaken(&u));

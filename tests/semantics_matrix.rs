@@ -83,6 +83,40 @@ fn qthreads_three_level_row() {
             .expect("ran on a worker");
         assert!(w == 2 || w == 3, "shepherd 1 owns workers 2,3; got {w}");
     }
+    // Injected units are invisible to thieves, so the loop above does
+    // not pin the victim set. Children forked from inside shepherd 1
+    // land on its worker's own deque, where they are stealable — and
+    // only shepherd 1's workers may steal them, even while shepherd 0
+    // sits idle.
+    let rt2 = rt.clone();
+    let workers = rt
+        .fork_to(1, move || {
+            let children: Vec<_> = (0..200)
+                .map(|_| {
+                    rt2.fork(|| {
+                        let mut seen = Vec::new();
+                        for _ in 0..10 {
+                            seen.push(lwt::qthreads::current_worker());
+                            lwt::qthreads::yield_now();
+                        }
+                        seen.push(lwt::qthreads::current_worker());
+                        seen
+                    })
+                })
+                .collect();
+            children
+                .into_iter()
+                .flat_map(|h| h.join())
+                .collect::<Vec<_>>()
+        })
+        .join();
+    for w in workers {
+        let w = w.expect("ran on a worker");
+        assert!(
+            w == 2 || w == 3,
+            "a shepherd-0 worker stole from shepherd 1: {w}"
+        );
+    }
     rt.shutdown();
 }
 
