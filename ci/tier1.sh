@@ -71,7 +71,16 @@ echo "== tier1: concurrency model check (--cfg lwt_model, bounded)"
 CARGO_TARGET_DIR=target/lwt-model \
     RUSTFLAGS="${RUSTFLAGS:-} --cfg lwt_model" \
     timeout 600 cargo test -q --offline -p lwt-model
-echo "   ok: model suites green (engine + chase_lev + injector + sync + stack cache + park + kernel idle step + waker + timer + join)"
+echo "   ok: model suites green (engine + chase_lev + injector + sync + stack cache + park + kernel idle step + inbox owner wake + waker + timer + join)"
+
+echo "== tier1: passive wait-policy stage (inbox work wakes its owner)"
+# Under the passive policy an idle worker sleeps until woken, or until
+# its 200 ms backstop. Back-to-back external ULT trees on MassiveThreads
+# and Qthreads must never wait out that backstop: work that lands in a
+# worker's inbox wakes that worker by name (DESIGN §12). The test is a
+# binary of its own, so the forced policy stays inside its process.
+cargo test -q --offline --test passive_wake >/dev/null
+echo "   ok: no tree waited out the passive backstop"
 
 echo "== tier1: trace-export smoke (LWT_TRACE=1)"
 # One real microbench run with tracing on must produce a parseable

@@ -59,9 +59,7 @@ use lwt_metrics::EventKind;
 use lwt_sched::{Injector, RoundRobin};
 use lwt_sync::{Backoff, SenseBarrier};
 use lwt_ultcore::kernel::Workers;
-use lwt_ultcore::{
-    enter_worker, run_ult, wait_until, DrainError, PollTask, Requeue, ResultCell, UltCore,
-};
+use lwt_ultcore::{enter_worker, run_ult, wait_until, DrainError, PollTask, Requeue, Ult, UltCore};
 
 pub use lwt_ultcore::{current_worker as current_processor, in_ult, yield_now, JoinError};
 
@@ -136,8 +134,7 @@ pub struct Runtime {
 
 /// Handle to a ULT created with [`Runtime::spawn_ult`].
 pub struct UltHandle<T> {
-    ult: Arc<UltCore>,
-    result: Arc<ResultCell<T>>,
+    ult: Ult<T>,
     /// The owning processor — Converse ULTs never migrate, so awaken
     /// re-queues there.
     proc: usize,
@@ -158,14 +155,14 @@ impl<T> UltHandle<T> {
     /// # Errors
     ///
     /// [`JoinError`] carrying the panic payload.
-    pub fn try_join(self) -> Result<T, JoinError> {
-        wait_until(|| self.ult.is_terminated());
-        lwt_metrics::span::on_join(self.ult.span_id());
-        if let Some(p) = self.ult.take_panic() {
+    pub fn try_join(mut self) -> Result<T, JoinError> {
+        let core = self.ult.core();
+        wait_until(|| core.is_terminated());
+        lwt_metrics::span::on_join(core.span_id());
+        if let Some(p) = core.take_panic() {
             return Err(JoinError::new(p));
         }
-        // SAFETY: TERMINATED observed; sole joiner.
-        Ok(unsafe { self.result.take() }.expect("converse ULT result missing"))
+        Ok(self.ult.take().expect("converse ULT result missing"))
     }
 
     /// Wait for completion and take the result.
@@ -180,7 +177,7 @@ impl<T> UltHandle<T> {
     /// Non-consuming completion test.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        self.ult.is_terminated()
+        self.ult.core().is_terminated()
     }
 
     /// Resume a [`suspend`]ed ULT on its own processor (`CthAwaken`).
@@ -188,7 +185,7 @@ impl<T> UltHandle<T> {
     pub fn awaken(&self) -> bool {
         let inner = self.rt.inner.clone();
         let proc = self.proc;
-        lwt_ultcore::awaken(&self.ult, move |u| {
+        lwt_ultcore::awaken(self.ult.core(), move |u| {
             inner.procs[proc].queue.push(ConvUnit::Ult(u));
             inner.workers.park_group().notify_worker(proc);
         })
@@ -336,20 +333,15 @@ impl Runtime {
             "CthCreate outside a processor: only messages may enter another \
              processor's queue",
         );
-        let result = ResultCell::new();
-        let slot = result.clone();
-        let ult = UltCore::with_span(self.inner.stack_size, span, move || {
-            let value = f();
-            // SAFETY: sole writer, before TERMINATED.
-            unsafe { slot.put(value) };
-        });
+        let ult = Ult::with_span(self.inner.stack_size, span, f);
         self.inner.outstanding.fetch_add(1, Ordering::AcqRel);
         emit(EventKind::UltSpawn, proc as u64);
-        self.inner.procs[proc].queue.push(ConvUnit::Ult(ult.clone()));
+        self.inner.procs[proc]
+            .queue
+            .push(ConvUnit::Ult(ult.core().clone()));
         self.inner.workers.park_group().notify_worker(proc);
         UltHandle {
             ult,
-            result,
             proc,
             rt: self.clone(),
         }

@@ -553,17 +553,81 @@ pub fn yield_unit() -> bool {
 
 /// The unified runtime (`GLT_init` … `GLT_finalize`).
 ///
-/// Cloning is cheap — every backend runtime is an `Arc`-shared handle
-/// — and clones refer to the *same* pool of workers, so layered
-/// subsystems (the `lwt-net` HTTP server's acceptor, long-lived
-/// services) can hold their own spawn capability. Exactly one clone
-/// should call [`Glt::finalize`], after the others are done spawning.
-#[derive(Clone)]
+/// Cloning is cheap, and clones refer to the *same* pool of workers,
+/// so layered subsystems (the `lwt-net` HTTP server's acceptor,
+/// long-lived services) and recursive work units can hold their own
+/// spawn capability. Exactly one clone should call [`Glt::finalize`],
+/// after the others are done spawning.
+///
+/// A clone made on one of the runtime's workers shares a reference
+/// count kept for that worker alone, so a spawn-heavy work unit that
+/// clones the handle per child never writes a cache line another worker
+/// is also writing. Any clone keeps the runtime alive.
 pub struct Glt {
+    link: Arc<Link>,
+}
+
+/// One counted reference to the runtime. Clones made off the workers
+/// share the link they were cloned from. Clones made on worker `w`
+/// share `w`'s link, found through its [`Shard`], so their count
+/// changes stay on that worker's lines; the link holds one count on the
+/// runtime itself while any such clone lives.
+struct Link {
+    core: Arc<GltCore>,
+}
+
+/// Worker `w`'s handle shard: a weak reference to the link its clones
+/// share, alone on its 128-byte pair of lines.
+#[repr(align(128))]
+struct Shard(SpinLock<std::sync::Weak<Link>>);
+
+impl Shard {
+    /// A clone of `core` counted on this shard's link, made anew once
+    /// every clone of the old one is gone.
+    fn clone_of(&self, core: &Arc<GltCore>) -> Glt {
+        let mut slot = self.0.lock();
+        let link = slot.upgrade().unwrap_or_else(|| {
+            let link = Arc::new(Link {
+                core: Arc::clone(core),
+            });
+            *slot = Arc::downgrade(&link);
+            link
+        });
+        Glt { link }
+    }
+}
+
+struct GltCore {
     backend: Backend,
     workers: usize,
     drain_timeout: Duration,
     async_queue: AsyncQueuePolicy,
+    /// One per worker.
+    shards: Box<[Shard]>,
+}
+
+impl GltCore {
+    /// Index of the worker running the caller, when the caller is on
+    /// one of this backend's worker threads. A thread of another
+    /// runtime gets some shard too; any shard is correct, only slower.
+    fn current_worker(&self) -> Option<usize> {
+        match self.backend {
+            Backend::Argobots(_) => lwt_argobots::current_stream(),
+            _ => lwt_ultcore::current_worker(),
+        }
+    }
+}
+
+impl Clone for Glt {
+    fn clone(&self) -> Self {
+        let core = &self.link.core;
+        match core.current_worker().and_then(|w| core.shards.get(w)) {
+            Some(shard) => shard.clone_of(core),
+            None => Glt {
+                link: Arc::clone(&self.link),
+            },
+        }
+    }
 }
 
 impl Glt {
@@ -642,24 +706,34 @@ impl Glt {
                 stack_size: cfg.stack_size,
             })),
         };
-        Glt {
+        let core = Arc::new(GltCore {
             backend,
             workers: cfg.workers,
             drain_timeout: cfg.drain_timeout,
             async_queue: cfg.async_queue,
+            shards: (0..cfg.workers)
+                .map(|_| Shard(SpinLock::new(std::sync::Weak::new())))
+                .collect(),
+        });
+        Glt {
+            link: Arc::new(Link { core }),
         }
+    }
+
+    fn core(&self) -> &GltCore {
+        &self.link.core
     }
 
     /// Number of execution resources this runtime was started with.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.workers
+        self.core().workers
     }
 
     /// Which backend this instance drives.
     #[must_use]
     pub fn kind(&self) -> BackendKind {
-        match &self.backend {
+        match &self.core().backend {
             Backend::Argobots(_) => BackendKind::Argobots,
             Backend::Qthreads(_) => BackendKind::Qthreads,
             Backend::Massive(_) => BackendKind::MassiveThreads,
@@ -680,7 +754,7 @@ impl Glt {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        match &self.backend {
+        match &self.core().backend {
             Backend::Argobots(rt) => HandleInner::AbtUlt(rt.ult_create(f)).into(),
             Backend::Qthreads(rt) => HandleInner::Qth(rt.fork_rr(f)).into(),
             Backend::Massive(rt) => HandleInner::Myth(rt.spawn(f)).into(),
@@ -752,20 +826,20 @@ impl Glt {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        match &self.backend {
+        match &self.core().backend {
             Backend::Massive(_) => {
                 return Err(PlacementError::Unsupported(BackendKind::MassiveThreads))
             }
             Backend::Go(_) => return Err(PlacementError::Unsupported(BackendKind::Go)),
             _ => {}
         }
-        if worker >= self.workers {
+        if worker >= self.workers() {
             return Err(PlacementError::OutOfRange {
                 worker,
-                workers: self.workers,
+                workers: self.workers(),
             });
         }
-        Ok(match &self.backend {
+        Ok(match &self.core().backend {
             Backend::Argobots(rt) => HandleInner::AbtUlt(rt.ult_create_to(worker, f)).into(),
             Backend::Qthreads(rt) => HandleInner::Qth(rt.fork_to(worker, f)).into(),
             Backend::Converse(rt) => {
@@ -797,7 +871,7 @@ impl Glt {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        match &self.backend {
+        match &self.core().backend {
             Backend::Argobots(rt) => HandleInner::AbtTasklet(rt.tasklet_create(f)).into(),
             Backend::Converse(rt) => {
                 // A Converse message IS the tasklet: stackless and
@@ -828,8 +902,8 @@ impl Glt {
         use lwt_go::Runtime as Go;
         use lwt_massive::Runtime as Mth;
         use lwt_qthreads::Runtime as Qth;
-        let q = self.async_queue;
-        match &self.backend {
+        let q = self.core().async_queue;
+        match &self.core().backend {
             Backend::Argobots(rt) => task_poster(rt, q, Abt::post_task, Abt::post_task_to),
             Backend::Qthreads(rt) => task_poster(rt, q, Qth::post_task, Qth::post_task_to),
             Backend::Massive(rt) => task_poster(rt, q, Mth::post_task, Mth::post_task_to),
@@ -936,7 +1010,7 @@ impl Glt {
     #[must_use]
     pub fn supports_tasklets(&self) -> bool {
         matches!(
-            self.backend,
+            self.core().backend,
             Backend::Argobots(_) | Backend::Converse(_)
         )
     }
@@ -944,7 +1018,7 @@ impl Glt {
     /// Yield the calling work unit (`yield_function`). A no-op on the
     /// Go backend — the paper's Table I marks Go as offering no yield.
     pub fn yield_now(&self) {
-        match &self.backend {
+        match &self.core().backend {
             Backend::Argobots(_) => {
                 if lwt_argobots::in_ult() {
                     lwt_argobots::yield_now();
@@ -974,8 +1048,8 @@ impl Glt {
     ///
     /// [`DrainError`] when work was still pending at the deadline.
     pub fn finalize(self) -> Result<(), DrainError> {
-        let deadline = self.drain_timeout;
-        let result = match self.backend {
+        let deadline = self.core().drain_timeout;
+        let result = match &self.core().backend {
             Backend::Argobots(rt) => rt.shutdown_within(deadline),
             Backend::Qthreads(rt) => rt.shutdown_within(deadline),
             Backend::Massive(rt) => rt.shutdown_within(deadline),
@@ -1105,6 +1179,52 @@ mod tests {
                 "backend {kind}"
             );
             glt.finalize().expect("clean drain");
+        }
+    }
+
+    #[test]
+    fn glt_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Glt>();
+    }
+
+    #[test]
+    fn worker_made_clone_outlives_the_original_handle() {
+        for kind in BackendKind::ALL {
+            let glt = Glt::builder(kind).workers(2).build();
+            let g = glt.clone();
+            // Cloned on a worker: counted on that worker's shard.
+            let inner = glt.ult_create(move || g.clone()).join();
+            drop(glt);
+            assert_eq!(inner.ult_create(|| 5).join(), 5, "backend {kind}");
+            let g = inner.clone();
+            let nested = inner.ult_create(move || g.ult_create(|| 6).join());
+            assert_eq!(nested.join(), 6, "backend {kind}");
+            inner.finalize().expect("clean drain");
+        }
+    }
+
+    #[test]
+    fn finalize_drains_units_holding_worker_made_clones() {
+        for kind in BackendKind::ALL {
+            let glt = Glt::builder(kind).workers(2).build();
+            let ran = Arc::new(AtomicUsize::new(0));
+            let (g, r) = (glt.clone(), ran.clone());
+            glt.ult_create(move || {
+                for _ in 0..32 {
+                    let (keep, r) = (g.clone(), r.clone());
+                    // Detached: each unit still holds its worker-made
+                    // clone when the original handle finalizes.
+                    let _ = g.ult_create(move || {
+                        keep.yield_now();
+                        keep.yield_now();
+                        r.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+            })
+            .join();
+            glt.finalize().expect("clean drain");
+            assert_eq!(ran.load(Ordering::Relaxed), 32, "backend {kind}");
         }
     }
 

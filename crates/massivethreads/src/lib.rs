@@ -58,7 +58,7 @@ use lwt_metrics::EventKind;
 use lwt_sched::{RandomVictim, ReadyQueue};
 use lwt_ultcore::kernel::{self, ReadyPolicy, Victims, Workers};
 use lwt_ultcore::{
-    park_join, wait_until, yield_to, DrainError, PollTask, ReadyUnit, Requeue, ResultCell, UltCore,
+    park_join, wait_until, yield_to, DrainError, PollTask, ReadyUnit, Requeue, Ult, UltCore,
 };
 
 pub use lwt_ultcore::{current_worker, in_ult, yield_now, JoinError};
@@ -132,8 +132,7 @@ fn worker_of() -> usize {
 
 /// Join handle for a spawned ULT (`myth_thread_t` + `myth_join`).
 pub struct Handle<T> {
-    ult: Arc<UltCore>,
-    result: Arc<ResultCell<T>>,
+    ult: Ult<T>,
     /// Identity of the spawning runtime (see [`WORKER_OF`]).
     rt: usize,
 }
@@ -149,19 +148,19 @@ impl<T> Handle<T> {
     /// # Errors
     ///
     /// [`JoinError`] carrying the panic payload.
-    pub fn try_join(self) -> Result<T, JoinError> {
+    pub fn try_join(mut self) -> Result<T, JoinError> {
+        let core = self.ult.core();
         if in_ult() && worker_of() == self.rt {
-            park_join(&self.ult);
+            park_join(core);
         } else {
-            wait_until(|| self.ult.is_terminated());
+            wait_until(|| core.is_terminated());
         }
         // Causal join edge: this context observed the unit's completion.
-        lwt_metrics::span::on_join(self.ult.span_id());
-        if let Some(p) = self.ult.take_panic() {
+        lwt_metrics::span::on_join(core.span_id());
+        if let Some(p) = core.take_panic() {
             return Err(JoinError::new(p));
         }
-        // SAFETY: TERMINATED observed; sole joiner.
-        Ok(unsafe { self.result.take() }.expect("massivethreads result missing"))
+        Ok(self.ult.take().expect("massivethreads result missing"))
     }
 
     /// Wait for completion and take the result.
@@ -176,7 +175,7 @@ impl<T> Handle<T> {
     /// Non-consuming completion test.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        self.ult.is_terminated()
+        self.ult.core().is_terminated()
     }
 }
 
@@ -244,22 +243,16 @@ impl Runtime {
         F: FnOnce(&Runtime) -> T + Send + 'static,
     {
         let rt = self.clone();
-        let result = ResultCell::new();
-        let slot = result.clone();
-        let ult = UltCore::new(self.inner.stack_size, move || {
-            let value = f(&rt);
-            // SAFETY: sole writer, before TERMINATED.
-            unsafe { slot.put(value) };
-        });
+        let mut ult = Ult::new(self.inner.stack_size, move || f(&rt));
         emit(EventKind::UltSpawn, 0);
-        self.place(ult.clone().into());
-        wait_until(|| ult.is_terminated());
-        lwt_metrics::span::on_join(ult.span_id());
-        if let Some(p) = ult.take_panic() {
+        let core = ult.core();
+        self.place(core.clone().into());
+        wait_until(|| core.is_terminated());
+        lwt_metrics::span::on_join(core.span_id());
+        if let Some(p) = core.take_panic() {
             std::panic::resume_unwind(p);
         }
-        // SAFETY: TERMINATED observed; sole joiner.
-        unsafe { result.take() }.expect("primary ULT result missing")
+        ult.take().expect("primary ULT result missing")
     }
 
     /// Create a ULT under the configured policy (`myth_create`).
@@ -278,13 +271,7 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let result = ResultCell::new();
-        let slot = result.clone();
-        let ult = UltCore::new(self.inner.stack_size, move || {
-            let value = f();
-            // SAFETY: sole writer, before TERMINATED.
-            unsafe { slot.put(value) };
-        });
+        let ult = Ult::new(self.inner.stack_size, f);
         // `arg` records the spawn path the paper benchmarks separately:
         // 1 = work-first ("(W)"), 0 = help-first ("(H)").
         emit(
@@ -296,33 +283,26 @@ impl Runtime {
         // worker's deque, where it can be stolen. A lost claim (cannot
         // normally happen for a fresh ULT) degrades to help-first.
         let work_first = policy == Policy::WorkFirst && in_ult() && current_worker().is_some();
-        if !(work_first && yield_to(&ult)) {
-            self.place(ult.clone().into());
+        if !(work_first && yield_to(ult.core())) {
+            self.place(ult.core().clone().into());
         }
         Handle {
             ult,
-            result,
             rt: Arc::as_ptr(&self.inner) as usize,
         }
     }
 
     /// Help-first placement. From a worker: straight onto its own
-    /// deque (the zero-allocation owner fast path). From an external
-    /// thread: into worker 0's inbox, to be batched onto its deque and
-    /// stolen from there (the paper's MassiveThreads (H) shape). Either
-    /// way, wake a thief so a parked pool still spreads the load.
+    /// deque (the zero-allocation owner fast path), waking a thief so a
+    /// parked pool still spreads the load. From an external thread:
+    /// into worker 0's inbox, waking worker 0, which batches it onto
+    /// its deque for thieves to steal from there (the paper's
+    /// MassiveThreads (H) shape).
     fn place(&self, unit: ReadyUnit) {
-        let target = match current_worker() {
-            Some(w) if w < self.inner.queues.len() => {
-                self.inner.queues[w].push(unit);
-                w
-            }
-            _ => {
-                self.inner.queues[0].inject(unit);
-                0
-            }
-        };
-        self.inner.workers.park_group().notify_near(target);
+        let target = current_worker()
+            .filter(|&w| w < self.inner.queues.len())
+            .unwrap_or(0);
+        self.inner.post(target, unit);
     }
 
     /// Enqueue a stackless future task with help-first placement — a
@@ -340,8 +320,7 @@ impl Runtime {
     ///
     /// Panics if `worker` is out of range.
     pub fn post_task_to(&self, worker: usize, task: Arc<dyn PollTask>) {
-        self.inner.queues[worker].push(ReadyUnit::Task(task));
-        self.inner.workers.park_group().notify_near(worker);
+        self.inner.post(worker, ReadyUnit::Task(task));
     }
 
     /// Stop all workers and join their OS threads (`myth_fini`).
@@ -395,6 +374,13 @@ impl Requeue for RtInner {
     fn displace(&self, worker: usize, u: Arc<UltCore>) {
         self.queues[worker].push(u.into());
         self.workers.park_group().notify_near(worker);
+    }
+
+    /// Work-first's other half: a finishing child switches straight
+    /// into the worker's newest ULT — normally the parent it displaced
+    /// — instead of bouncing through the scheduler loop first.
+    fn resume_next(&self, worker: usize) -> Option<Arc<UltCore>> {
+        kernel::pop_own_ult(self, worker)
     }
 }
 

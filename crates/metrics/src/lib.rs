@@ -9,8 +9,9 @@
 //! migrate, who steals from whom — are only explainable with per-event
 //! telemetry. This crate provides both layers:
 //!
-//! * **Always-on counters** ([`Counter`], [`Gauge`]): single relaxed
-//!   atomic increments, cheap enough to never turn off. The well-known
+//! * **Always-on counters** ([`Counter`], [`Gauge`]): one relaxed
+//!   atomic increment on the calling thread's own stripe, cheap enough
+//!   to never turn off. The well-known
 //!   runtime-wide set lives in [`registry::COUNTERS`].
 //! * **Always-on histograms** ([`Histogram`]): log2-bucketed latency
 //!   distributions (spawn-to-first-run, steal-loop dwell) with
@@ -48,7 +49,8 @@
 
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 pub mod clock;
 pub mod critical_path;
@@ -79,48 +81,97 @@ pub use timeline::{set_accounting, utilization, Utilization, WorkerState};
 /// stealing B's events). Don't hand-roll that protocol: use
 /// [`registry::scoped`], which serializes reset → workload → snapshot
 /// under a process-wide lock, or [`Counter::reset`]'s returned value
-/// (an atomic swap, so every event is observed exactly once).
+/// (every event is observed exactly once).
 ///
-/// Cache-line aligned: the well-known counters sit side by side in
-/// [`registry::COUNTERS`], and hot-path increments from different
-/// workers (a spawner bumping `ults_created` while an idle worker
-/// bumps `steal_attempts`) must not false-share a line.
+/// # Layout
+///
+/// One counter is [`STRIPES`] cache-line-padded atomic stripes. Each
+/// thread increments only its own stripe, picked once per thread
+/// (round-robin) and cached in a const-initialised thread-local, so
+/// hot-path increments from different workers — a spawner bumping
+/// `ults_created` while a thief bumps `steal_attempts`, or two workers
+/// both spawning — never bounce a line between cores. Readers pay
+/// instead: [`Counter::get`] sums every stripe and [`Counter::reset`]
+/// swaps each one. More threads than stripes share stripes, which
+/// costs contention but never a count: every stripe is a plain atomic.
 #[derive(Debug, Default)]
-#[repr(align(64))]
-pub struct Counter(AtomicU64);
+pub struct Counter {
+    stripes: [Stripe; STRIPES],
+}
+
+/// Stripes per [`Counter`]: threads beyond this many share stripes.
+pub const STRIPES: usize = 32;
+
+/// One thread's share of a [`Counter`], alone on its 128-byte pair of
+/// lines (adjacent-line prefetch pairs 64-byte lines).
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Stripe(AtomicU64);
+
+/// The calling thread's stripe index, assigned on first use.
+///
+/// A ULT that migrates between worker threads may keep using the
+/// stripe of the thread it started on when the compiler reuses a
+/// thread-local address across a context switch. That costs some
+/// sharing, never a count.
+#[inline]
+fn stripe() -> usize {
+    thread_local! {
+        static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
+    }
+    #[cold]
+    fn assign() -> usize {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let i = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+        STRIPE.with(|s| s.set(i));
+        i
+    }
+    match STRIPE.with(Cell::get) {
+        i if i < STRIPES => i,
+        _ => assign(),
+    }
+}
 
 impl Counter {
     /// A zeroed counter, usable in `static`s.
     #[must_use]
     pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
+        Counter {
+            stripes: [const { Stripe(AtomicU64::new(0)) }; STRIPES],
+        }
     }
 
     /// Record one event.
     #[inline]
     pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
     }
 
     /// Record `n` events.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.stripes[stripe()].0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current value.
+    /// Current value: the sum over all stripes.
     #[must_use]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.stripes
+            .iter()
+            .map(|s| s.0.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Zero the counter, returning the previous value.
     ///
-    /// The swap is atomic: concurrent `inc`s land either in the
-    /// returned value or in the fresh epoch, never both and never
-    /// neither.
+    /// Each stripe is swapped atomically: a concurrent `inc` lands
+    /// either in the returned value or in the fresh epoch, never both
+    /// and never neither.
     pub fn reset(&self) -> u64 {
-        self.0.swap(0, Ordering::Relaxed)
+        self.stripes
+            .iter()
+            .map(|s| s.0.swap(0, Ordering::Relaxed))
+            .sum()
     }
 }
 
@@ -128,9 +179,10 @@ impl Counter {
 /// rise and fall (e.g. pool size, concurrent regions).
 ///
 /// See [`Counter`] for the reset-race contract; [`registry::scoped`]
-/// covers gauges too. Cache-line aligned for the same reason as
-/// [`Counter`] (`level` and `high` stay together by design — they are
-/// always touched by the same `rise`).
+/// covers gauges too. Cache-line aligned so neighbouring gauges do
+/// not false-share (`level` and `high` stay together by design — they
+/// are always touched by the same `rise`). Gauges are not striped: a
+/// level is one shared value, and none sits on a per-unit path.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub struct Gauge {
@@ -229,6 +281,36 @@ mod tests {
             }
         });
         assert_eq!(C.get(), 40_000);
+    }
+
+    /// The exactly-once reset contract survives striping: every
+    /// increment lands in exactly one of the resetter's returned values
+    /// or the final read, however the swaps interleave with the
+    /// writers' stripes.
+    #[test]
+    fn striped_counter_reset_observes_every_increment_once() {
+        static C: Counter = Counter::new();
+        let writers_done = AtomicUsize::new(0);
+        let reset_total = std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..250_000 {
+                        C.inc();
+                    }
+                    writers_done.fetch_add(1, Ordering::Release);
+                });
+            }
+            let resetter = s.spawn(|| {
+                let mut total = 0;
+                while writers_done.load(Ordering::Acquire) < 4 {
+                    total += C.reset();
+                    std::thread::yield_now();
+                }
+                total
+            });
+            resetter.join().expect("resetter panicked")
+        });
+        assert_eq!(reset_total + C.get(), 1_000_000);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use lwt_model::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use lwt_model::thread;
-use lwt_model::Checker;
+use lwt_model::{Checker, Outcome};
 use lwt_sched::{force_wait_policy, ParkGroup, ParkResult, WaitPolicy};
 use lwt_sync::{Backoff, Parker};
 use lwt_ultcore::kernel::Workers;
@@ -149,4 +149,56 @@ fn kernel_idle_step_runs_the_unit_or_aborts_the_park() {
         producer.join();
         assert_eq!(crew.park.idle_workers(), 0, "exited worker still announced");
     });
+}
+
+/// The lost inbox wake: worker 0 parks with its inbox as the only work
+/// it can see, while a wake to worker 1 is still in flight (worker 1
+/// holds the handoff until it leaves the idle path). A producer then
+/// lands a unit in inbox 0 and wakes with `wake`. Only worker 0 can
+/// drain its inbox, so in every interleaving worker 0 must run the unit
+/// (its sweep or the park's re-check saw the push) or be woken.
+fn inbox_push_while_a_handoff_is_in_flight(wake: fn(&ParkGroup)) {
+    let group = Arc::new(ParkGroup::new(2));
+    let inbox = Arc::new(AtomicUsize::new(0));
+    // Worker 1 parks once with nothing it could run, and is woken.
+    let g1 = Arc::clone(&group);
+    let woken = thread::spawn(move || {
+        let _ = g1.park(1, None, || 0);
+    });
+    while group.idle_workers() == 0 {
+        thread::yield_now();
+    }
+    group.notify_near(1);
+    let (g0, i0) = (Arc::clone(&group), Arc::clone(&inbox));
+    let owner = thread::spawn(move || {
+        while i0.swap(0, Ordering::SeqCst) == 0 {
+            let _ = g0.park(0, None, || i0.load(Ordering::SeqCst));
+        }
+    });
+    inbox.store(1, Ordering::SeqCst);
+    wake(&group);
+    owner.join();
+    woken.join();
+    assert_eq!(group.idle_workers(), 0, "exited worker still announced");
+}
+
+/// Inbox work wakes its owner by name (`ReadyPolicy::post`): the
+/// targeted wake ignores the handoff, so the unit is never stranded.
+#[test]
+fn inbox_push_wakes_its_owner_despite_a_handoff_in_flight() {
+    force_wait_policy(WaitPolicy::Passive);
+    quick().check(|| inbox_push_while_a_handoff_is_in_flight(|g| g.notify_worker(0)));
+}
+
+/// The wake the fix replaced: a scanning wake-one is suppressed by the
+/// in-flight handoff, and worker 0 sleeps beside its unit (a livelock
+/// here, a 200 ms backstop stall in a passive-policy run).
+#[test]
+fn scanning_wake_strands_inbox_work_behind_a_handoff() {
+    force_wait_policy(WaitPolicy::Passive);
+    let outcome = quick().run(|| inbox_push_while_a_handoff_is_in_flight(|g| g.notify_near(0)));
+    assert!(
+        matches!(outcome, Outcome::Fail { .. }),
+        "notify_near no longer strands the inbox unit: {outcome:?}"
+    );
 }

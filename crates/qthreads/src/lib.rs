@@ -50,9 +50,7 @@ use lwt_metrics::EventKind;
 use lwt_sched::{ReadyQueue, RoundRobin};
 use lwt_sync::{FebCell, FebTable};
 use lwt_ultcore::kernel::{self, ReadyPolicy, Victims, Workers};
-use lwt_ultcore::{
-    relax, wait_until, DrainError, PollTask, ReadyUnit, Requeue, ResultCell, UltCore,
-};
+use lwt_ultcore::{relax, wait_until, DrainError, PollTask, ReadyUnit, Requeue, Ult, UltCore};
 
 pub use lwt_sync::FebTable as Feb;
 pub use lwt_ultcore::{current_worker, in_ult, yield_now, JoinError};
@@ -111,8 +109,7 @@ pub struct Runtime {
 /// Handle to a forked work unit; joining performs `readFF` on the
 /// unit's full/empty return word.
 pub struct Handle<T> {
-    ult: Arc<UltCore>,
-    result: Arc<ResultCell<T>>,
+    ult: Ult<T>,
     ret: Arc<FebCell<u64>>,
 }
 
@@ -124,7 +121,7 @@ impl<T> Handle<T> {
     /// # Errors
     ///
     /// [`JoinError`] carrying the panic payload.
-    pub fn try_join(self) -> Result<T, JoinError> {
+    pub fn try_join(mut self) -> Result<T, JoinError> {
         // The FEB is the paper-faithful join signal … (the FebCell
         // itself emits the FebBlock/FebWake ring events, span-tagged;
         // the counters stay here because they count *joins* that
@@ -137,14 +134,14 @@ impl<T> Handle<T> {
             COUNTERS.feb_wakes.inc();
         }
         // … and TERMINATED is the memory-safety contract for the slot.
-        wait_until(|| self.ult.is_terminated());
+        let core = self.ult.core();
+        wait_until(|| core.is_terminated());
         // Causal join edge: this context observed the unit's completion.
-        lwt_metrics::span::on_join(self.ult.span_id());
-        if let Some(p) = self.ult.take_panic() {
+        lwt_metrics::span::on_join(core.span_id());
+        if let Some(p) = core.take_panic() {
             return Err(JoinError::new(p));
         }
-        // SAFETY: TERMINATED observed; we consume the only handle.
-        Ok(unsafe { self.result.take() }.expect("qthreads result missing"))
+        Ok(self.ult.take().expect("qthreads result missing"))
     }
 
     /// Wait for completion and take the result.
@@ -268,10 +265,9 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let result = ResultCell::new();
         let ret = Arc::new(FebCell::new());
-        let (slot, word) = (result.clone(), ret.clone());
-        let ult = UltCore::new(self.inner.stack_size, move || {
+        let word = ret.clone();
+        let ult = Ult::new(self.inner.stack_size, move || {
             // Fill the return word even if `f` panics (drop guard runs
             // during unwinding): joiners' readFF must always unblock. 0
             // is the aligned_t "success" value qthread_fork writes.
@@ -282,14 +278,12 @@ impl Runtime {
                 }
             }
             let _fill = FillOnExit(word);
-            let value = f();
-            // SAFETY: sole writer, before TERMINATED.
-            unsafe { slot.put(value) };
+            f()
         });
         // `arg` = target shepherd: the fork_to dispatch decision.
         emit(EventKind::UltSpawn, shepherd as u64);
-        self.place(self.pick(shepherd), ult.clone().into());
-        Handle { ult, result, ret }
+        self.place(self.pick(shepherd), ult.core().clone().into());
+        Handle { ult, ret }
     }
 
     /// The shepherd of the worker running the caller, if any.
@@ -308,11 +302,11 @@ impl Runtime {
         }
     }
 
-    /// Push first, then wake at most one sleeper near the target (see
-    /// ParkGroup docs for why this order prevents lost wakes).
+    /// Push first, then wake whoever can run the unit (see
+    /// `ReadyPolicy::post` and the ParkGroup docs for why this order
+    /// prevents lost wakes).
     fn place(&self, worker: usize, unit: ReadyUnit) {
-        self.inner.queues[worker].push(unit);
-        self.inner.workers.park_group().notify_near(worker);
+        self.inner.post(worker, unit);
     }
 
     /// Enqueue a stackless poll task, reusing `qthread_fork`'s

@@ -69,6 +69,11 @@ fn thread_token() -> u64 {
 }
 
 /// A worker's ready queue. See module docs.
+///
+/// Aligned to 128 bytes (an adjacent-line-prefetch pair), so the
+/// owner's hot fields never share a line with a neighbouring worker's
+/// queue in the per-worker `Vec`.
+#[repr(align(128))]
 pub struct ReadyQueue<T: Send> {
     /// Thread token of the bound owner; 0 while unbound.
     owner: AtomicU64,
@@ -78,7 +83,8 @@ pub struct ReadyQueue<T: Send> {
     mirror: Stealer<T>,
     /// Cross-thread submissions.
     inbox: Injector<T>,
-    /// Owner pop counter driving the fairness policy (owner-only).
+    /// Owner pop counter driving the fairness policy. Only the owner
+    /// writes it, so a plain load + store replaces an atomic RMW.
     tick: AtomicU64,
 }
 
@@ -114,12 +120,17 @@ impl<T: Send> ReadyQueue<T> {
     }
 
     /// Submit work: the owner pushes straight onto its deque (LIFO),
-    /// everyone else goes through the inbox.
-    pub fn push(&self, value: T) {
+    /// everyone else goes through the inbox. Returns `true` when the
+    /// value went onto the deque, where thieves can steal it, and
+    /// `false` when it landed in the inbox, which only the owner
+    /// drains — so only a wake aimed at the owner is sure to help.
+    pub fn push(&self, value: T) -> bool {
         if self.is_owner() {
             self.local.push(value);
+            true
         } else {
             self.inbox.push(value);
+            false
         }
     }
 
@@ -146,7 +157,8 @@ impl<T: Send> ReadyQueue<T> {
         if !self.is_owner() {
             return (self.steal(), false);
         }
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
+        let tick = self.tick.load(Ordering::Relaxed);
+        self.tick.store(tick.wrapping_add(1), Ordering::Relaxed);
         if tick % FAIRNESS == FAIRNESS - 1 {
             if let Some((v, moved)) = self.take_inbox() {
                 return (Some(v), moved);

@@ -14,6 +14,10 @@
 //!   Qthreads, MassiveThreads), generic over a [`ReadyPolicy`] that
 //!   supplies the Table I differences: the [`Victims`] set and the
 //!   [`Requeue`] side.
+//! * [`pop_own_ult`] — the direct continuation resume a finishing ULT
+//!   takes ([`Requeue::resume_next`]), sharing [`run`]'s own-queue pop
+//!   and its per-dispatch bookkeeping (heartbeat, abandon check, chaos
+//!   yield point).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -25,7 +29,7 @@ use lwt_metrics::{clock, timeline, EventKind, WorkerState};
 use lwt_sched::{near_first, ParkGroup, ParkResult, RandomVictim, ReadyQueue};
 use lwt_sync::{Backoff, SpinLock};
 
-use crate::{enter_worker, run_unit, DrainError, ReadyUnit, Requeue, Straggler};
+use crate::{enter_worker_on_duty, run_unit, DrainError, ReadyUnit, Requeue, Straggler, UltCore};
 
 /// Grace period granted after a drain deadline expires, between
 /// raising the `abandon` flag and detaching workers that still have
@@ -96,6 +100,41 @@ impl Crew {
             backoff.reset();
         }
         true
+    }
+}
+
+/// What a worker checks at every dispatch, wherever the dispatch
+/// happens: the [`run`] loop, or a finishing ULT that resumes the next
+/// one directly. Kept in the worker's context, so the direct path —
+/// which can chain units for as long as work-first recursion lasts
+/// without passing through the loop — still beats the stall watchdog
+/// and still honours an abandoned drain.
+pub(crate) struct Duty {
+    heartbeat: lwt_chaos::Heartbeat,
+    crew: Arc<Crew>,
+}
+
+impl Duty {
+    /// Register worker `me` of `workers` with the stall watchdog.
+    fn new(workers: &Workers, me: usize) -> Self {
+        Duty {
+            heartbeat: lwt_chaos::register_worker(workers.label(), me),
+            crew: Arc::clone(workers.crew()),
+        }
+    }
+
+    /// Before each dispatch: beat the heartbeat. `false` once a bounded
+    /// drain abandoned the pool — the worker must run nothing more.
+    pub(crate) fn check_in(&self) -> bool {
+        self.heartbeat.beat();
+        !self.crew.abandoned()
+    }
+
+    /// The chaos yield point between dequeuing a unit and running it.
+    pub(crate) fn yield_point() {
+        if lwt_chaos::should_inject(lwt_chaos::FaultSite::YieldPoint) {
+            std::thread::yield_now();
+        }
     }
 }
 
@@ -332,6 +371,22 @@ pub trait ReadyPolicy: Requeue + Sized {
     /// Worker `me`'s victim set.
     fn victims(&self, me: usize) -> Victims;
 
+    /// Push `unit` onto worker `target`'s queue, then wake whoever can
+    /// run it (DESIGN §12). A deque push is stealable, so the nearest
+    /// sleeper will do. An inbox landing has one consumer, its owner, so
+    /// the owner is woken by name: a scanning wake-one could be
+    /// suppressed by a handoff in flight to another worker, or spent on
+    /// a thief that cannot reach the inbox, and the owner would sleep
+    /// until its backstop.
+    fn post(&self, target: usize, unit: ReadyUnit) {
+        let park = self.workers().park_group();
+        if self.queues()[target].push(unit) {
+            park.notify_near(target);
+        } else {
+            park.notify_worker(target);
+        }
+    }
+
     /// [`Workers::shutdown_within`], reporting each non-empty ready
     /// queue as a straggler.
     ///
@@ -347,34 +402,53 @@ pub trait ReadyPolicy: Requeue + Sized {
     }
 }
 
+/// Worker `me`'s own-queue pop (deque LIFO, then inbox), shared by
+/// [`run`] and the direct resume.
+fn pop_own<P: ReadyPolicy>(rt: &P, me: usize) -> Option<ReadyUnit> {
+    let (popped, exposed) = rt.queues()[me].pop_exposing();
+    if exposed {
+        // Inbox units just became stealable with no push announcing
+        // them; without this wake, thieves that parked while they sat
+        // in the inbox sleep beside them until the backstop.
+        rt.workers().park_group().notify_near(me);
+    }
+    popped
+}
+
+/// The direct continuation resume of a work-first runtime
+/// ([`Requeue::resume_next`]): worker `me`'s newest own unit when it is
+/// a ULT — after a work-first spawn, the parent the finishing child
+/// displaced. A task on top goes back on the deque for the loop.
+pub fn pop_own_ult<P: ReadyPolicy>(rt: &P, me: usize) -> Option<Arc<UltCore>> {
+    match pop_own(rt, me)? {
+        ReadyUnit::Ult(u) => Some(u),
+        task => {
+            rt.queues()[me].push(task);
+            None
+        }
+    }
+}
+
 /// The ready-queue worker loop, run on worker `me`'s own thread until
 /// shutdown: own queue first (deque LIFO, then inbox), then the
 /// policy's victims, then [`Crew::idle`].
 pub fn run<P: ReadyPolicy>(rt: &Arc<P>, me: usize) {
-    let _guard = enter_worker(me, rt.clone());
     let queues = rt.queues();
     let own = &queues[me];
     own.bind();
+    let guard = enter_worker_on_duty(me, rt.clone(), Duty::new(rt.workers(), me));
+    let duty = guard.duty().expect("kernel worker has a duty");
     let crew = rt.workers().crew();
     let victims = rt.victims(me);
-    let heartbeat = lwt_chaos::register_worker(rt.workers().label(), me);
     let mut backoff = Backoff::new();
     // When this worker ran dry (0 while it has work): feeds the
     // steal-loop dwell histogram on the next acquire.
     let mut idle_since_ns: u64 = 0;
     loop {
-        heartbeat.beat();
-        if crew.abandoned() {
+        if !duty.check_in() {
             break;
         }
-        let (popped, exposed) = own.pop_exposing();
-        if exposed {
-            // Inbox units just became stealable with no push announcing
-            // them; without this wake, thieves that parked while they
-            // sat in the inbox sleep beside them until the backstop.
-            crew.park.notify_near(me);
-        }
-        let unit = popped.or_else(|| {
+        let unit = pop_own(&**rt, me).or_else(|| {
             timeline::enter(WorkerState::Steal);
             victims.steal(queues, me)
         });
@@ -383,9 +457,7 @@ pub fn run<P: ReadyPolicy>(rt: &Arc<P>, me: usize) {
                 STEAL_DWELL.record(clock::now_ns().saturating_sub(idle_since_ns));
                 idle_since_ns = 0;
             }
-            if lwt_chaos::should_inject(lwt_chaos::FaultSite::YieldPoint) {
-                std::thread::yield_now();
-            }
+            Duty::yield_point();
             backoff.reset();
             run_unit(&u);
             continue;
@@ -394,7 +466,7 @@ pub fn run<P: ReadyPolicy>(rt: &Arc<P>, me: usize) {
             idle_since_ns = clock::now_ns();
         }
         let pending = || own.len() + victims.reachable(queues, me);
-        if !crew.idle(me, &mut backoff, Some(&heartbeat), pending) {
+        if !crew.idle(me, &mut backoff, Some(&duty.heartbeat), pending) {
             break;
         }
     }

@@ -6,7 +6,8 @@
 //! This crate houses the delicate, unsafe common core exactly once:
 //!
 //! * [`UltCore`] — the work-unit record (state word, saved context,
-//!   stack, entry closure, panic slot).
+//!   stack, one boxed job holding the entry closure and its result,
+//!   panic slot); [`Ult`] is its typed view for join handles.
 //! * [`WorkerCtx`]/[`enter_worker`] — the per-OS-thread executor
 //!   context with the **post-switch protocol** (see below).
 //! * [`run_ult`] — claim + switch into a ULT from a worker loop.
@@ -40,7 +41,10 @@
 //! [`Requeue::displace`] path), `BLOCKED` publication on [`suspend`],
 //! or `TERMINATED` publication on exit (only once the dying stack has
 //! been switched away from) — which also wakes a joiner parked by
-//! [`park_join`], through the displacement path.
+//! [`park_join`], through the displacement path. A finishing ULT may
+//! switch straight into the next ULT its runtime names
+//! ([`Requeue::resume_next`]) instead of the worker loop; that ULT
+//! runs the `TERMINATED` publication on its way in.
 
 #![warn(missing_docs)]
 
@@ -53,6 +57,7 @@ pub use task::{run_unit, PollTask, ReadyUnit, TaskCell, TaskOutcome, TaskResched
 
 use std::any::Any;
 use std::cell::{Cell, UnsafeCell};
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -86,6 +91,48 @@ pub trait Requeue: Send + Sync + 'static {
     fn displace(&self, worker: usize, ult: Arc<UltCore>) {
         self.requeue(worker, ult);
     }
+
+    /// The ULT a unit finishing on worker `worker` switches straight
+    /// into, skipping the round trip through the scheduler context and
+    /// the worker loop; `None` returns to the loop. Called on the
+    /// worker's own thread, on the finished unit's stack. Defaults to
+    /// `None`; MassiveThreads resumes its newest own ULT
+    /// ([`kernel::pop_own_ult`]) — after a work-first spawn, the
+    /// displaced parent.
+    fn resume_next(&self, _worker: usize) -> Option<Arc<UltCore>> {
+        None
+    }
+}
+
+/// The one heap block a ULT's work lives in: the entry closure until
+/// the ULT runs it, then the closure's result until the joiner takes
+/// it — so a spawn allocates no separate result slot.
+struct Job<F, T> {
+    entry: Option<F>,
+    out: Option<T>,
+}
+
+/// [`Job`] with the closure type erased, as [`UltCore`] stores it.
+trait Entry: Send {
+    /// Run the entry closure, keeping its result. Called once.
+    fn run(&mut self);
+    /// The result slot, an `Option<T>` for the job's `T`.
+    fn out(&mut self) -> *mut ();
+}
+
+impl<F, T> Entry for Job<F, T>
+where
+    F: FnOnce() -> T + Send,
+    T: Send,
+{
+    fn run(&mut self) {
+        let f = self.entry.take().expect("ULT entry missing");
+        self.out = Some(f());
+    }
+
+    fn out(&mut self) -> *mut () {
+        std::ptr::from_mut(&mut self.out).cast()
+    }
 }
 
 /// A stackful user-level thread record.
@@ -99,8 +146,8 @@ pub struct UltCore {
     /// Owned stack, on loan from the recycle cache; returned to it
     /// when the last Arc drops.
     stack: UnsafeCell<Option<CachedStack>>,
-    /// Entry closure, taken at first execution.
-    entry: UnsafeCell<Option<Box<dyn FnOnce() + Send + 'static>>>,
+    /// Entry closure and result slot ([`Job`]).
+    job: UnsafeCell<Box<dyn Entry>>,
     /// Panic escaped from the entry closure; re-raised by the join
     /// wrapper the runtime builds.
     panic: UnsafeCell<Option<Box<dyn Any + Send>>>,
@@ -131,27 +178,26 @@ impl UltCore {
     where
         F: FnOnce() + Send + 'static,
     {
-        Self::with_span(stack_size, span::on_spawn(), f)
+        Self::build(stack_size, span::on_spawn(), f)
     }
 
-    /// Like [`UltCore::new`], but adopting `span` instead of allocating
-    /// one — for spawns whose causal edge was recorded earlier on a
-    /// different thread (e.g. Converse's two-stage bootstrap, where the
-    /// `GLT_ult_create` call site owns the spawn edge and the CthCreate
-    /// happens later inside a message). Pass `0` to run span-less.
-    #[must_use]
-    pub fn with_span<F>(stack_size: StackSize, span: u64, f: F) -> Arc<UltCore>
+    fn build<F, T>(stack_size: StackSize, span: u64, f: F) -> Arc<UltCore>
     where
-        F: FnOnce() + Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+        T: Send + 'static,
     {
         COUNTERS.ults_created.inc();
         let stack = cache::acquire(stack_size);
+        let job: Box<dyn Entry> = Box::new(Job {
+            entry: Some(f),
+            out: None,
+        });
         let ult = Arc::new(UltCore {
             state: UnitState::new(),
             join: JoinSlot::new(),
             ctx: UnsafeCell::new(RawContext::null()),
             stack: UnsafeCell::new(None),
-            entry: UnsafeCell::new(Some(Box::new(f))),
+            job: UnsafeCell::new(job),
             panic: UnsafeCell::new(None),
             spawn_ns: AtomicU64::new(timestamp_if_tracing()),
             span,
@@ -213,6 +259,68 @@ impl UltCore {
     }
 }
 
+/// A ULT whose closure returns a `T`: the record plus typed access to
+/// the result slot in its job block. The runtimes' join handles hold
+/// one.
+pub struct Ult<T> {
+    core: Arc<UltCore>,
+    out: PhantomData<T>,
+}
+
+// SAFETY: `core` is an `Arc` of a `Sync` record, and `out` is only a
+// marker: through `&Ult<T>` no `T` is reachable, since the result moves
+// out only through `take(&mut self)`.
+unsafe impl<T: Send> Sync for Ult<T> {}
+
+impl<T: Send + 'static> Ult<T> {
+    /// Allocate a ULT that will run `f` when first scheduled, with a
+    /// fresh causal span: [`UltCore::new`] for a closure with a result.
+    #[must_use]
+    pub fn new<F>(stack_size: StackSize, f: F) -> Self
+    where
+        F: FnOnce() -> T + Send + 'static,
+    {
+        Self::with_span(stack_size, span::on_spawn(), f)
+    }
+
+    /// Like [`Ult::new`], but adopting `span` instead of allocating
+    /// one — for spawns whose causal edge was recorded earlier on a
+    /// different thread (e.g. Converse's two-stage bootstrap, where the
+    /// `GLT_ult_create` call site owns the spawn edge and the CthCreate
+    /// happens later inside a message). Pass `0` to run span-less.
+    #[must_use]
+    pub fn with_span<F>(stack_size: StackSize, span: u64, f: F) -> Self
+    where
+        F: FnOnce() -> T + Send + 'static,
+    {
+        Ult {
+            core: UltCore::build(stack_size, span, f),
+            out: PhantomData,
+        }
+    }
+}
+
+impl<T> Ult<T> {
+    /// The unit record, to enqueue, switch into or wait on.
+    #[must_use]
+    pub fn core(&self) -> &Arc<UltCore> {
+        &self.core
+    }
+
+    /// Take the closure's result. `None` until the unit has
+    /// terminated, and after a panic (see [`UltCore::take_panic`]).
+    pub fn take(&mut self) -> Option<T> {
+        if !self.core.is_terminated() {
+            return None;
+        }
+        // SAFETY: TERMINATED (Acquire) means the unit will never touch
+        // its job again, and `&mut self` makes us the only reader. The
+        // slot is an `Option<T>`: `Ult<T>` is only built over a
+        // `Job<_, T>`.
+        unsafe { (*(*self.core.job.get()).out().cast::<Option<T>>()).take() }
+    }
+}
+
 impl std::fmt::Debug for UltCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self.state.load() {
@@ -245,6 +353,9 @@ pub struct WorkerCtx {
     post: Post,
     worker_id: usize,
     requeue: Arc<dyn Requeue>,
+    /// The kernel loop's dispatch bookkeeping; `None` for workers that
+    /// run their own loop (Converse), which never resume directly.
+    duty: Option<kernel::Duty>,
 }
 
 thread_local! {
@@ -272,6 +383,14 @@ pub struct WorkerGuard {
     ctx: *mut WorkerCtx,
 }
 
+impl WorkerGuard {
+    /// The bookkeeping the worker was entered with.
+    pub(crate) fn duty(&self) -> Option<&kernel::Duty> {
+        // SAFETY: ctx is live while the guard is.
+        unsafe { (*self.ctx).duty.as_ref() }
+    }
+}
+
 impl Drop for WorkerGuard {
     fn drop(&mut self) {
         // SAFETY: ctx is live until the Box::from_raw below.
@@ -290,12 +409,27 @@ impl Drop for WorkerGuard {
 /// requeue policy. The guard must live for the whole worker loop.
 #[must_use]
 pub fn enter_worker(worker_id: usize, requeue: Arc<dyn Requeue>) -> WorkerGuard {
+    enter(worker_id, requeue, None)
+}
+
+/// [`enter_worker`] for the kernel loop, which hands the worker its
+/// dispatch bookkeeping so a direct resume can do it too.
+pub(crate) fn enter_worker_on_duty(
+    worker_id: usize,
+    requeue: Arc<dyn Requeue>,
+    duty: kernel::Duty,
+) -> WorkerGuard {
+    enter(worker_id, requeue, Some(duty))
+}
+
+fn enter(worker_id: usize, requeue: Arc<dyn Requeue>, duty: Option<kernel::Duty>) -> WorkerGuard {
     let ctx = Box::into_raw(Box::new(WorkerCtx {
         sched_ctx: RawContext::null(),
         current: None,
         post: Post::None,
         worker_id,
         requeue,
+        duty,
     }));
     WORKER.with(|c| {
         assert!(c.get().is_null(), "thread is already an lwt worker");
@@ -347,10 +481,53 @@ unsafe fn process_post(w: *mut WorkerCtx) {
     }
 }
 
+/// The bookkeeping of every dispatch of a claimed ULT, whether the
+/// worker loop ([`run_ult`]), a [`yield_to`] or a direct resume hands
+/// it the worker: first-run latency, its span, the `UltRun` event.
+fn begin(ult: &UltCore) {
+    ult.record_first_run();
+    if ult.span != 0 {
+        // The unit's events (and any spans it spawns) attribute to it.
+        span::set_current(ult.span);
+    }
+    emit(EventKind::UltRun, 0);
+}
+
+/// The direct continuation resume: pick the ULT a unit that just
+/// finished on worker `w` switches straight into
+/// ([`Requeue::resume_next`]), with the dispatch bookkeeping the worker
+/// loop would have done (heartbeat and abandon check, chaos yield
+/// point, [`begin`]). Returns its context, now `current`, or `None` to
+/// go back to the scheduler context. Runs on the finished unit's stack,
+/// which is never unwound, so nothing may stay alive in this frame.
+///
+/// # Safety
+///
+/// `w` must be this thread's live `WorkerCtx`, with no unit current.
+unsafe fn resume_next(w: *mut WorkerCtx) -> Option<RawContext> {
+    // SAFETY: exclusive by contract.
+    let w = unsafe { &mut *w };
+    if !w.duty.as_ref()?.check_in() {
+        return None;
+    }
+    let next = w.requeue.resume_next(w.worker_id)?;
+    kernel::Duty::yield_point();
+    if !next.claim() {
+        return None;
+    }
+    begin(&next);
+    // SAFETY: the claim grants exclusive execution; `ctx` holds the
+    // suspended (or bootstrap) context.
+    let ctx = unsafe { *next.ctx.get() };
+    w.current = Some(next);
+    Some(ctx)
+}
+
 /// Claim and execute one ULT hint from a worker loop.
 ///
 /// Returns `false` for stale hints (already claimed elsewhere), `true`
-/// once the ULT ran until it yielded or finished.
+/// once the ULT — or a chain of units it resumed directly
+/// ([`Requeue::resume_next`]) — gave the worker back.
 ///
 /// # Panics
 ///
@@ -361,13 +538,8 @@ pub fn run_ult(ult: &Arc<UltCore>) -> bool {
     if !ult.claim() {
         return false;
     }
-    ult.record_first_run();
-    if ult.span != 0 {
-        // The unit's events (and any spans it spawns) attribute to it.
-        span::set_current(ult.span);
-    }
+    begin(ult);
     timeline::enter(timeline::WorkerState::Busy);
-    emit(EventKind::UltRun, 0);
     // SAFETY: the claim grants exclusive execution; `ctx` holds the
     // suspended (or bootstrap) context; `w` is live for the whole loop.
     unsafe {
@@ -396,8 +568,8 @@ unsafe extern "sysv64" fn ult_entry(data: *mut u8) -> ! {
     // SAFETY: kept alive by the Arc in the worker's `current`.
     let ult = unsafe { &*data.cast::<UltCore>() };
     // SAFETY: the RUNNING claim grants exclusive access.
-    let f = unsafe { (*ult.entry.get()).take().expect("ULT entry missing") };
-    if let Err(p) = catch_unwind(AssertUnwindSafe(f)) {
+    let job = unsafe { &mut *ult.job.get() };
+    if let Err(p) = catch_unwind(AssertUnwindSafe(|| job.run())) {
         // SAFETY: still exclusive until TERMINATED.
         unsafe { *ult.panic.get() = Some(p) };
     }
@@ -406,12 +578,14 @@ unsafe extern "sysv64" fn ult_entry(data: *mut u8) -> ! {
 
     // Re-fetch: yields may have migrated us to another worker.
     let w = worker_ptr();
-    // SAFETY: live worker ctx of whichever worker resumed us.
+    // SAFETY: live worker ctx of whichever worker resumed us. Whoever
+    // gains control next publishes our termination: the directly
+    // resumed unit on its way in, else the scheduler context.
     unsafe {
         let me = (*w).current.take().expect("finishing ULT not current");
         (*w).post = Post::Terminated(me);
-        let sched = (*w).sched_ctx;
-        switch_final(sched)
+        let next = resume_next(w).unwrap_or((*w).sched_ctx);
+        switch_final(next)
     }
 }
 
@@ -465,11 +639,7 @@ pub fn yield_to(target: &Arc<UltCore>) -> bool {
     }
     COUNTERS.yields.inc();
     emit(EventKind::Yield, 0);
-    target.record_first_run();
-    if target.span != 0 {
-        span::set_current(target.span);
-    }
-    emit(EventKind::UltRun, 0);
+    begin(target);
     // SAFETY: same protocol as yield_now, with control landing in the
     // claimed target; the target's resume path (or entry) performs our
     // requeue.
@@ -765,45 +935,6 @@ impl std::fmt::Display for JoinError {
 
 impl std::error::Error for JoinError {}
 
-/// Result slot shared between a spawned closure and its join handle;
-/// synchronized by the ULT's TERMINATED transition.
-pub struct ResultCell<T>(UnsafeCell<Option<T>>);
-
-// SAFETY: single writer before TERMINATED, readers after (Acquire).
-unsafe impl<T: Send> Send for ResultCell<T> {}
-// SAFETY: see above.
-unsafe impl<T: Send> Sync for ResultCell<T> {}
-
-impl<T> ResultCell<T> {
-    /// An empty slot.
-    #[must_use]
-    pub fn new() -> Arc<Self> {
-        Arc::new(ResultCell(UnsafeCell::new(None)))
-    }
-
-    /// Store the result. Called exactly once, by the spawned closure.
-    ///
-    /// # Safety
-    ///
-    /// Must happen-before the owning unit's TERMINATED publication, on
-    /// the unit's own execution.
-    pub unsafe fn put(&self, value: T) {
-        // SAFETY: forwarded contract.
-        unsafe { *self.0.get() = Some(value) };
-    }
-
-    /// Take the result after observing TERMINATED.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have observed the owning unit's TERMINATED state
-    /// with Acquire ordering and be the only joiner.
-    pub unsafe fn take(&self) -> Option<T> {
-        // SAFETY: forwarded contract.
-        unsafe { (*self.0.get()).take() }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -910,17 +1041,14 @@ mod tests {
     }
 
     #[test]
-    fn result_cell_round_trip() {
+    fn job_result_round_trip() {
         let rt = Mini::start(1);
-        let cell = ResultCell::new();
-        let c2 = cell.clone();
-        let u = rt.spawn(move || {
-            // SAFETY: before TERMINATED, sole writer.
-            unsafe { c2.put(99) };
-        });
-        wait_until(|| u.is_terminated());
-        // SAFETY: TERMINATED observed; sole joiner.
-        assert_eq!(unsafe { cell.take() }, Some(99));
+        let mut ult = Ult::new(StackSize(32 * 1024), || 99);
+        assert_eq!(ult.take(), None, "no result before the unit ran");
+        rt.inject(ult.core().clone());
+        wait_until(|| ult.core().is_terminated());
+        assert_eq!(ult.take(), Some(99));
+        assert_eq!(ult.take(), None, "the result moves out once");
         rt.shutdown();
     }
 

@@ -324,3 +324,38 @@ fn oversubscribed_burst() {
     assert_eq!(total, 300 * 299 / 2);
     rt.shutdown();
 }
+
+#[test]
+fn direct_resume_chain_keeps_the_watchdog_quiet() {
+    use lwt::chaos::{StallSubject, WatchdogConfig};
+    use std::time::{Duration, Instant};
+
+    // On MassiveThreads a finishing child switches straight into the
+    // parent it displaced, so a work-first chain never passes through
+    // the worker loop and its heartbeat. The direct resume beats on its
+    // own: 3 s of unbroken chain under the default (LWT_WATCHDOG=1)
+    // thresholds must flag nothing.
+    let _serial = WATCHDOG.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    lwt::chaos::force_watchdog(WatchdogConfig::default());
+    let rt = lwt::massive::Runtime::init(lwt::massive::Config {
+        num_workers: 1,
+        policy: lwt::massive::Policy::WorkFirst,
+        ..Default::default()
+    });
+    let spawned = rt.run(|rt| {
+        let until = Instant::now() + Duration::from_secs(3);
+        let mut n = 0_u64;
+        while Instant::now() < until {
+            n += rt.spawn(|| 1_u64).join();
+        }
+        n
+    });
+    rt.shutdown();
+    let stalls: Vec<_> = lwt::chaos::take_reports()
+        .into_iter()
+        .filter(|r| matches!(r.subject, StallSubject::Worker(..)))
+        .collect();
+    lwt::chaos::reset_watchdog_to_env();
+    assert!(spawned > 0, "the chain never ran");
+    assert!(stalls.is_empty(), "healthy direct-resume chain flagged: {stalls:?}");
+}

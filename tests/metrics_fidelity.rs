@@ -124,3 +124,28 @@ fn top_level_regions_do_not_spawn_after_init() {
         assert_eq!(snapshot().counters.os_threads_spawned, after_init);
     });
 }
+
+/// Per-thread counter stripes stay exact under a real spawn storm: a
+/// work-first binary tree of 1,024 ULTs (the root plus 1,023 inner
+/// spawns, the shape of the repo benchmark's forkjoin trees) on two
+/// workers that steal from each other counts every ULT exactly once.
+#[test]
+fn work_first_tree_counts_every_ult_exactly_once() {
+    use lwt::{BackendKind, Glt};
+    fn tree(glt: &Glt, depth: u32) {
+        if depth == 0 {
+            return;
+        }
+        let g = glt.clone();
+        let left = glt.ult_create(move || tree(&g, depth - 1));
+        tree(glt, depth - 1);
+        left.join();
+    }
+    let ((), snap) = scoped(|| {
+        let glt = Glt::builder(BackendKind::MassiveThreads).workers(2).build();
+        let g = glt.clone();
+        glt.ult_create(move || tree(&g, 10)).join();
+        glt.finalize().expect("clean drain");
+    });
+    assert_eq!(snap.counters.ults_created, 1_024);
+}
